@@ -22,6 +22,12 @@ else
   echo "== clang-format not installed; skipping format check =="
 fi
 
+echo "== broadcast routing declarations =="
+# Broadcasts are routed by Component::accepted_events() (ARCHITECTURE §8).
+# A class in src/ that overrides handle_event() without declaring what it
+# accepts inherits a base's declaration and may silently miss events.
+python3 scripts/check_accepted_events.py src
+
 echo "== RelWithDebInfo build + tests + benches (INFOPIPE_SEED=$INFOPIPE_SEED) =="
 cmake -B build -G Ninja
 cmake --build build

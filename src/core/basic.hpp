@@ -20,6 +20,10 @@ class LambdaFunction : public FunctionComponent {
   LambdaFunction(std::string name, std::function<Item(Item)> fn)
       : FunctionComponent(std::move(name)), fn_(std::move(fn)) {}
 
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
+  }
+
  protected:
   Item convert(Item x) override { return fn_(std::move(x)); }
 
@@ -34,6 +38,10 @@ class LambdaConsumer : public Consumer {
   using Body = std::function<void(Item, const std::function<void(Item)>&)>;
   LambdaConsumer(std::string name, Body body)
       : Consumer(std::move(name)), body_(std::move(body)) {}
+
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
+  }
 
  protected:
   void push(Item x) override {
@@ -51,6 +59,10 @@ class LambdaProducer : public Producer {
   using Body = std::function<Item(const std::function<Item()>&)>;
   LambdaProducer(std::string name, Body body)
       : Producer(std::move(name)), body_(std::move(body)) {}
+
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
+  }
 
  protected:
   Item pull() override {
@@ -70,6 +82,10 @@ class LambdaActive : public ActiveComponent {
   LambdaActive(std::string name, Body body)
       : ActiveComponent(std::move(name)), body_(std::move(body)) {}
 
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
+  }
+
  protected:
   void run() override {
     body_([this]() { return pull_prev(); },
@@ -81,6 +97,9 @@ class LambdaActive : public ActiveComponent {
 };
 
 /// Identity pass-through (function style); handy as a neutral chain element.
+/// Deliberately keeps the default accepted_events() (every event): it is
+/// the usual base for a pass-through that only adds a handle_event(), and
+/// such a subclass must see every broadcast without declaring anything.
 class IdentityFunction : public FunctionComponent {
  public:
   using FunctionComponent::FunctionComponent;
@@ -98,6 +117,10 @@ class CountingSource : public PassiveSource {
 
   [[nodiscard]] std::uint64_t produced() const noexcept { return next_; }
   void reset() noexcept { next_ = 0; }
+
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
+  }
 
  protected:
   Item generate() override {
@@ -132,6 +155,10 @@ class VectorSource : public PassiveSource {
  public:
   VectorSource(std::string name, std::vector<Item> items)
       : PassiveSource(std::move(name)), items_(std::move(items)) {}
+
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
+  }
 
  protected:
   Item generate() override {
@@ -170,6 +197,10 @@ class CollectorSink : public PassiveSink {
     eos_ = false;
   }
 
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
+  }
+
  protected:
   void consume(Item x) override {
     got_.push_back(Arrival{std::move(x), pipeline_now()});
@@ -193,6 +224,10 @@ class CountingSink : public PassiveSink {
     eos_ = false;
   }
 
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
+  }
+
  protected:
   void consume(Item) override { ++n_; }
   void on_eos() override { eos_ = true; }
@@ -213,6 +248,10 @@ class RateLimiter : public Consumer {
 
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
   [[nodiscard]] std::uint64_t passed() const noexcept { return passed_; }
+
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
+  }
 
  protected:
   void push(Item x) override {
@@ -249,6 +288,10 @@ class Sampler : public Consumer {
       : Consumer(std::move(name)),
         keep_every_(keep_every == 0 ? 1 : keep_every) {}
 
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
+  }
+
  protected:
   void push(Item x) override {
     if (n_++ % keep_every_ == 0) push_next(std::move(x));
@@ -270,6 +313,10 @@ class SequenceValidator : public FunctionComponent {
     return reorderings_;
   }
   [[nodiscard]] std::uint64_t observed() const noexcept { return observed_; }
+
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
+  }
 
  protected:
   Item convert(Item x) override {
@@ -300,6 +347,10 @@ class SimulatedWork : public FunctionComponent {
   SimulatedWork(std::string name, rt::Time cost_per_item)
       : FunctionComponent(std::move(name)), cost_(cost_per_item) {}
 
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
+  }
+
  protected:
   Item convert(Item x) override {
     if (cost_ > 0 && realization() != nullptr) {
@@ -322,6 +373,10 @@ class DefragmenterConsumer : public Consumer {
   using Combine = std::function<Item(Item, Item)>;
   DefragmenterConsumer(std::string name, Combine assemble)
       : Consumer(std::move(name)), assemble_(std::move(assemble)) {}
+
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
+  }
 
  protected:
   void push(Item x) override {
@@ -347,6 +402,10 @@ class DefragmenterProducer : public Producer {
   DefragmenterProducer(std::string name, Combine assemble)
       : Producer(std::move(name)), assemble_(std::move(assemble)) {}
 
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
+  }
+
  protected:
   Item pull() override {
     Item x1 = pull_prev();
@@ -364,6 +423,10 @@ class DefragmenterActive : public ActiveComponent {
   using Combine = std::function<Item(Item, Item)>;
   DefragmenterActive(std::string name, Combine assemble)
       : ActiveComponent(std::move(name)), assemble_(std::move(assemble)) {}
+
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
+  }
 
  protected:
   void run() override {
@@ -386,6 +449,10 @@ class FragmenterConsumer : public Consumer {
   FragmenterConsumer(std::string name, Split split)
       : Consumer(std::move(name)), split_(std::move(split)) {}
 
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
+  }
+
  protected:
   void push(Item x) override {
     auto [a, b] = split_(std::move(x));
@@ -404,6 +471,10 @@ class FragmenterProducer : public Producer {
   using Split = std::function<std::pair<Item, Item>(Item)>;
   FragmenterProducer(std::string name, Split split)
       : Producer(std::move(name)), split_(std::move(split)) {}
+
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
+  }
 
  protected:
   Item pull() override {

@@ -89,6 +89,9 @@ class Buffer : public Component {
 
   /// Discard queued items (kEventFlush does this).
   void handle_event(const Event& e) override;
+  [[nodiscard]] EventSet accepted_events() const override {
+    return {kEventFlush};
+  }
 
   // -- migration hooks (ip_balance; called only while the adjacent sections
   // are quiesced, so no waiter can race) -------------------------------------

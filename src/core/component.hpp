@@ -121,6 +121,18 @@ class Component {
   /// push or pull.
   virtual void handle_event(const Event& e);
 
+  /// The broadcast event types handle_event() reacts to (§2.3: the
+  /// capability to react to control events belongs to the component's
+  /// description). Broadcasts of other types skip the component, and skip
+  /// its whole thread when no component there wants them. The lifecycle set
+  /// (START, STOP, SHUTDOWN, EOS, FLUSH) is delivered regardless, and so is
+  /// every event targeted at the component. The default is every event: a
+  /// handler that declares nothing sees every broadcast. Read once, when the
+  /// component is realized.
+  [[nodiscard]] virtual EventSet accepted_events() const {
+    return EventSet::every();
+  }
+
   /// Called by the middleware when the upstream flow ends, before the
   /// end-of-stream marker moves on. Components with inter-item state (e.g. a
   /// defragmenter holding an unpaired fragment) may emit leftovers here

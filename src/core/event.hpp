@@ -10,9 +10,12 @@
 // delivered while a component is blocked in a push or pull.
 #pragma once
 
+#include <algorithm>
 #include <any>
+#include <initializer_list>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace infopipe {
 
@@ -46,5 +49,48 @@ struct Event {
 };
 
 [[nodiscard]] std::string to_string(const Event& e);
+
+/// START, STOP, SHUTDOWN, EOS and FLUSH: the lifecycle broadcasts that reach
+/// every component, whatever it declares.
+[[nodiscard]] constexpr bool is_lifecycle_event(int type) noexcept {
+  return type >= kEventStart && type <= kEventFlush;
+}
+
+/// The broadcast event types a component's handle_event() reacts to
+/// (Component::accepted_events()). The lifecycle set is always a member;
+/// beyond it a set holds either every type or the listed ones. The
+/// realization routes broadcasts with these sets, so a type missing here is
+/// never delivered to the component as a broadcast.
+class EventSet {
+ public:
+  /// The lifecycle set only.
+  EventSet() = default;
+  /// The lifecycle set plus `types`.
+  EventSet(std::initializer_list<int> types) : types_(types) {}
+
+  [[nodiscard]] static EventSet none() { return {}; }
+  [[nodiscard]] static EventSet every() {
+    EventSet s;
+    s.every_ = true;
+    return s;
+  }
+
+  [[nodiscard]] bool contains(int type) const noexcept {
+    return every_ || is_lifecycle_event(type) ||
+           std::find(types_.begin(), types_.end(), type) != types_.end();
+  }
+
+  /// Union: afterwards this set contains every type `o` contains.
+  void merge(const EventSet& o) {
+    every_ = every_ || o.every_;
+    for (const int t : o.types_) {
+      if (!contains(t)) types_.push_back(t);
+    }
+  }
+
+ private:
+  bool every_ = false;
+  std::vector<int> types_;
+};
 
 }  // namespace infopipe

@@ -170,8 +170,12 @@ class Pump : public Driver {
   void cycle() override;
 };
 
-/// Clock-driven pump: fires at a constant rate, drift-free (the k-th cycle
-/// is scheduled at start + k/rate, not at last + 1/rate).
+/// Clock-driven pump: fires at a constant rate. While the pump keeps up,
+/// the schedule is drift-free: the k-th cycle is due at start + k/rate, not
+/// at last + 1/rate. After a stall that leaves it more than one period
+/// behind, the overdue cycle runs at once and the schedule re-anchors to
+/// that moment: the next cycle is due one period later, and the slots
+/// missed during the stall are skipped, not caught up in a burst.
 class ClockedPump : public Pump {
  public:
   ClockedPump(std::string name, double rate_hz,
@@ -184,6 +188,10 @@ class ClockedPump : public Pump {
   [[nodiscard]] double rate_hz() const noexcept { return rate_hz_; }
   [[nodiscard]] std::optional<rt::Time> nominal_period() const override {
     return period_;
+  }
+
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
   }
 
  protected:
@@ -203,6 +211,10 @@ class FreeRunningPump : public Pump {
   explicit FreeRunningPump(std::string name,
                            rt::Priority priority = rt::kPriorityData);
   explicit FreeRunningPump(const PumpSpec& spec) : Pump(spec) {}
+
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
+  }
 
  protected:
   [[nodiscard]] rt::Time next_fire(rt::Time now) override { return now; }
@@ -225,6 +237,9 @@ class AdaptivePump : public Pump {
   /// Adaptive pumps also react to kEventQualityHint events whose payload is
   /// a double rate in Hz.
   void handle_event(const Event& e) override;
+  [[nodiscard]] EventSet accepted_events() const override {
+    return {kEventQualityHint};
+  }
 
  protected:
   void prepare(rt::Time now) override;
@@ -251,7 +266,10 @@ class ActiveSource : public Driver {
   void cycle() override;
 };
 
-/// A clock-driven active source.
+/// A clock-driven active source. Same schedule as ClockedPump: drift-free
+/// (cycle k due at start + k/rate) while it keeps up; after a stall of more
+/// than one period, it emits at once and re-anchors one period after that
+/// emission, skipping the missed slots.
 class ClockedSourceBase : public ActiveSource {
  public:
   ClockedSourceBase(std::string name, double rate_hz,
@@ -290,7 +308,10 @@ class ActiveSink : public Driver {
   friend class Realization;
 };
 
-/// A clock-driven active sink (the audio-device case from §3.1).
+/// A clock-driven active sink (the audio-device case from §3.1). Same
+/// schedule as ClockedPump: drift-free (cycle k due at start + k/rate)
+/// while it keeps up; after a stall of more than one period, it consumes at
+/// once and re-anchors one period after that, skipping the missed slots.
 class ClockedSinkBase : public ActiveSink {
  public:
   ClockedSinkBase(std::string name, double rate_hz,

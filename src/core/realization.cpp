@@ -63,49 +63,57 @@ void HostContext::dispatch(rt::Message&& m) {
   ControlDispatch* cd = m.get<ControlDispatch>();
   if (cd == nullptr) return;
   const Event e = std::move(cd->event);
-  std::vector<Component*> targets;
+  obs::Counter& dispatched = *real_->obs_hooks().control_dispatched;
   if (cd->target != nullptr) {
-    targets.push_back(cd->target);
-  } else {
-    targets = hosted_;
+    dispatched.inc();
+    IP_OBS_TRACE(runtime().tracer(), obs::Hop::kControlDispatch, "control",
+                 e.type, 1);
+    deliver(*cd->target, e);
+    return;
   }
-  real_->obs_hooks().control_dispatched->inc(targets.size());
+  std::int64_t n = 0;
+  for (const Route& r : routes_) n += r.accepts.contains(e.type) ? 1 : 0;
+  dispatched.inc(static_cast<std::uint64_t>(n));
   IP_OBS_TRACE(runtime().tracer(), obs::Hop::kControlDispatch, "control",
-               e.type, static_cast<std::int64_t>(targets.size()));
-  for (Component* c : targets) {
-    // Middleware lifecycle side effects first.
-    switch (e.type) {
-      case kEventStart:
-        c->running_ = true;
-        break;
-      case kEventStop:
-        c->running_ = false;
-        break;
-      case kEventShutdown:
-        c->running_ = false;
-        terminate_ = true;
-        break;
-      default:
-        break;
+               e.type, n);
+  for (const Route& r : routes_) {
+    if (r.accepts.contains(e.type)) deliver(*r.comp, e);
+  }
+}
+
+void HostContext::deliver(Component& c, const Event& e) {
+  // Middleware lifecycle side effects first.
+  switch (e.type) {
+    case kEventStart:
+      c.running_ = true;
+      break;
+    case kEventStop:
+      c.running_ = false;
+      break;
+    case kEventShutdown:
+      c.running_ = false;
+      terminate_ = true;
+      break;
+    default:
+      break;
+  }
+  // §3.2: a control handler never runs while the component is processing
+  // data. Within this thread that holds structurally (we only dispatch at
+  // wait points); for components in shared regions the section lock keeps
+  // other threads' data processing out. The lock is re-entrant for the
+  // owner — that is precisely the "blocked in a push or pull" case in
+  // which the paper allows control delivery.
+  if (c.shared_lock_ != nullptr) {
+    c.shared_lock_->acquire(*this);
+    try {
+      c.handle_event(e);
+    } catch (...) {
+      c.shared_lock_->release(*this);
+      throw;
     }
-    // §3.2: a control handler never runs while the component is processing
-    // data. Within this thread that holds structurally (we only dispatch at
-    // wait points); for components in shared regions the section lock keeps
-    // other threads' data processing out. The lock is re-entrant for the
-    // owner — that is precisely the "blocked in a push or pull" case in
-    // which the paper allows control delivery.
-    if (c->shared_lock_ != nullptr) {
-      c->shared_lock_->acquire(*this);
-      try {
-        c->handle_event(e);
-      } catch (...) {
-        c->shared_lock_->release(*this);
-        throw;
-      }
-      c->shared_lock_->release(*this);
-    } else {
-      c->handle_event(e);
-    }
+    c.shared_lock_->release(*this);
+  } else {
+    c.handle_event(e);
   }
 }
 
@@ -302,7 +310,10 @@ class Wiring {
   void reg(Component& c, HostContext& h, SectionLock* lock) {
     if (R.host_of_comp_.count(&c) != 0) return;
     R.host_of_comp_[&c] = h.tid();
-    h.hosted_.push_back(&c);
+    EventSet accepts = c.accepted_events();
+    h.accepts_.merge(accepts);
+    R.accepts_.merge(accepts);
+    h.routes_.push_back(HostContext::Route{&c, std::move(accepts)});
     c.shared_lock_ = lock;
   }
 
@@ -925,25 +936,32 @@ int Realization::running_drivers() const {
   return n;
 }
 
+namespace {
+rt::Message control_message(Component* target, const Event& e) {
+  rt::Message m{detail::kMsgControl, rt::MsgClass::kControl};
+  m.constraint = rt::Constraint{rt::kPriorityControl, rt::kTimeNever};
+  m.payload = ControlDispatch{target, e};
+  return m;
+}
+}  // namespace
+
 void Realization::post_event(const Event& e) {
   if (listener_) listener_(e);
   for (const auto& host : hosts_) {
-    rt::Message m{detail::kMsgControl, rt::MsgClass::kControl};
-    m.constraint = rt::Constraint{rt::kPriorityControl, rt::kTimeNever};
-    m.payload = ControlDispatch{nullptr, e};
-    rt_->send(host->tid(), std::move(m));
+    if (host->accepts_.contains(e.type)) {
+      rt_->send(host->tid(), control_message(nullptr, e));
+    }
   }
 }
 
 void Realization::post_event_external(const Event& e) {
-  // hosts_ and each host's tid are immutable after construction, so reading
-  // them from a foreign kernel thread is safe; delivery goes through the
-  // runtime's one thread-safe entry point.
+  // hosts_, each host's tid and its route table are immutable after
+  // construction, so reading them from a foreign kernel thread is safe;
+  // delivery goes through the runtime's one thread-safe entry point.
   for (const auto& host : hosts_) {
-    rt::Message m{detail::kMsgControl, rt::MsgClass::kControl};
-    m.constraint = rt::Constraint{rt::kPriorityControl, rt::kTimeNever};
-    m.payload = ControlDispatch{nullptr, e};
-    rt_->post_external(host->tid(), std::move(m));
+    if (host->accepts_.contains(e.type)) {
+      rt_->post_external(host->tid(), control_message(nullptr, e));
+    }
   }
 }
 
@@ -960,10 +978,7 @@ void Realization::post_event_to_external(Component& c, const Event& e) {
   if (it == host_of_comp_.end()) {
     throw CompositionError(c.name() + " is not hosted by this realization");
   }
-  rt::Message m{detail::kMsgControl, rt::MsgClass::kControl};
-  m.constraint = rt::Constraint{rt::kPriorityControl, rt::kTimeNever};
-  m.payload = ControlDispatch{&c, e};
-  rt_->post_external(it->second, std::move(m));
+  rt_->post_external(it->second, control_message(&c, e));
 }
 
 void Realization::post_event_to_after(Component& c, const Event& e,
@@ -972,9 +987,7 @@ void Realization::post_event_to_after(Component& c, const Event& e,
   if (it == host_of_comp_.end()) {
     throw CompositionError(c.name() + " is not hosted by this realization");
   }
-  rt::Message m{detail::kMsgControl, rt::MsgClass::kControl};
-  m.constraint = rt::Constraint{rt::kPriorityControl, rt::kTimeNever};
-  m.payload = ControlDispatch{&c, e};
+  rt::Message m = control_message(&c, e);
   if (delay > 0) {
     rt_->send_at(rt_->now() + delay, it->second, std::move(m));
   } else {

@@ -121,23 +121,33 @@ class HostContext {
     return driver_ != nullptr && !driver_->running_;
   }
 
-  [[nodiscard]] const std::vector<Component*>& hosted() const noexcept {
-    return hosted_;
-  }
-
  private:
   friend class Realization;
   friend class Wiring;
 
+  /// One hosted component with its accepted_events(), resolved once when
+  /// the component is registered on this thread.
+  struct Route {
+    Component* comp;
+    EventSet accepts;
+  };
+
   HostContext(Realization& r, rt::ThreadId tid) : real_(&r), tid_(tid) {}
 
-  /// Handles one control message: runs middleware lifecycle side effects
-  /// (START/STOP/SHUTDOWN flags) and the targeted components' handlers.
+  /// Handles one control message: a targeted event goes to its target, a
+  /// broadcast to every hosted component that accepts its type.
   void dispatch(rt::Message&& m);
+  /// Runs the middleware lifecycle side effects (START/STOP/SHUTDOWN flags)
+  /// and the component's handler.
+  void deliver(Component& c, const Event& e);
 
   Realization* real_;
   rt::ThreadId tid_;
-  std::vector<Component*> hosted_;
+  /// Route table in pipeline order, and its union: does a broadcast of a
+  /// given type need a message to this thread at all? Both are complete
+  /// once the realization is constructed and never change afterwards.
+  std::vector<Route> routes_;
+  EventSet accepts_;
   Driver* driver_ = nullptr;
   bool terminate_ = false;
   std::uint64_t tick_gen_ = 0;
@@ -195,15 +205,18 @@ class Realization : public RealizationHandle {
 
   // -- control events (§2.2) ---------------------------------------------------
 
-  /// Broadcast to every component, in pipeline order per thread.
+  /// Broadcast to every component that accepts the event's type (see
+  /// Component::accepted_events()), in pipeline order per thread. Threads
+  /// with no such component get no message. The listener sees every
+  /// broadcast.
   void post_event(const Event& e) override;
   /// Thread-safe broadcast from OUTSIDE this realization's runtime thread
   /// (built on rt::Runtime::post_external): the event enqueues onto the
   /// owning runtime and is delivered at its dispatch points, so the
   /// deliver-while-blocked semantics (§3.2) are preserved across kernel
   /// threads. The event listener is NOT invoked (it would run on the
-  /// foreign caller's thread). This is how a ShardGroup forwards control
-  /// events between shards.
+  /// foreign caller's thread). Routed like post_event(). This is how a
+  /// ShardGroup forwards control events between shards.
   void post_event_external(const Event& e);
   /// Local delivery to one component.
   void post_event_to(Component& c, const Event& e);
@@ -215,7 +228,8 @@ class Realization : public RealizationHandle {
   /// Delayed delivery (used by netpipes to impose network latency on
   /// control events crossing to a remote component, §2.4).
   void post_event_to_after(Component& c, const Event& e, rt::Time delay);
-  /// Observer for broadcast events (runs on the caller of post_event).
+  /// Observer for every broadcast event, including types no component
+  /// accepts (runs on the caller of post_event).
   void set_event_listener(std::function<void(const Event&)> fn) {
     listener_ = std::move(fn);
   }
@@ -233,6 +247,13 @@ class Realization : public RealizationHandle {
   /// component lives on after migrations).
   [[nodiscard]] bool hosts(const Component& c) const noexcept {
     return host_of_comp_.count(&c) != 0;
+  }
+  /// Whether a broadcast of this type reaches any component hosted here.
+  /// Fixed at construction, so safe to call from any kernel thread (a
+  /// ShardedRealization forwards a broadcast only to the shards that
+  /// accept it).
+  [[nodiscard]] bool accepts(int type) const noexcept {
+    return accepts_.contains(type);
   }
   [[nodiscard]] std::size_t thread_count() const noexcept {
     return all_threads_.size();
@@ -300,6 +321,7 @@ class Realization : public RealizationHandle {
   ObsHooks obs_;
   obs::MetricsRegistry::CollectorId obs_collector_ = 0;
   std::vector<std::unique_ptr<HostContext>> hosts_;
+  EventSet accepts_;  ///< union of every host's route table
   std::map<rt::ThreadId, HostContext*> host_by_tid_;
   std::map<const Component*, rt::ThreadId> host_of_comp_;
   std::vector<rt::ThreadId> all_threads_;

@@ -47,6 +47,10 @@ class MulticastTee : public Tee {
   [[nodiscard]] Polarity out_polarity(int) const override {
     return Polarity::kPositive;
   }
+
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
+  }
 };
 
 /// Routes each incoming item to the output chosen by select(). Push-driven
@@ -85,6 +89,10 @@ class MergeTee : public Tee {
   }
   [[nodiscard]] Polarity out_polarity(int) const override {
     return Polarity::kPositive;
+  }
+
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
   }
 
  private:
@@ -127,6 +135,10 @@ class BalancingSwitch : public Tee {
   }
   [[nodiscard]] Polarity out_polarity(int) const override {
     return Polarity::kNegative;
+  }
+
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
   }
 };
 

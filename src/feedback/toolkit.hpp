@@ -86,6 +86,10 @@ class RateSensor : public FunctionComponent {
   [[nodiscard]] std::uint64_t observed() const noexcept { return seen_; }
   [[nodiscard]] int reports_sent() const noexcept { return reports_; }
 
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
+  }
+
  protected:
   Item convert(Item x) override {
     const rt::Time now = pipeline_now();
@@ -128,6 +132,10 @@ class LatencySensor : public FunctionComponent {
         report_every_(report_every) {}
 
   [[nodiscard]] double latency_ms() const noexcept { return filter_.value(); }
+
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
+  }
 
  protected:
   Item convert(Item x) override {

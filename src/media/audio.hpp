@@ -47,6 +47,10 @@ class ToneSource : public PassiveSource {
     return Typespec{{props::kItemType, std::string("audio")}};
   }
 
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
+  }
+
  protected:
   Item generate() override {
     if (next_ >= chunks_) return Item::eos();
@@ -84,6 +88,10 @@ class AudioMixer : public CombineTee {
  public:
   AudioMixer(std::string name, int inputs)
       : CombineTee(std::move(name), inputs) {}
+
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
+  }
 
  protected:
   Item combine(std::vector<Item> xs) override {
@@ -134,6 +142,10 @@ class AudioDevice : public ClockedSinkBase {
 
   /// Models a hardware device with its own crystal: pinned to its shard.
   [[nodiscard]] bool migratable() const override { return false; }
+
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
+  }
 
  protected:
   void consume(Item x) override {

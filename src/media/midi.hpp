@@ -34,6 +34,10 @@ class MidiSource : public PassiveSource {
     return Typespec{{props::kItemType, std::string("midi")}};
   }
 
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
+  }
+
  protected:
   Item generate() override {
     if (next_ >= count_) return Item::eos();
@@ -69,6 +73,9 @@ class MidiTranspose : public FunctionComponent {
       if (const int* s = e.get<int>()) semitones_ = *s;
     }
   }
+  [[nodiscard]] EventSet accepted_events() const override {
+    return {kEventQualityHint};
+  }
 
  protected:
   Item convert(Item x) override {
@@ -101,6 +108,10 @@ class MidiGain : public Consumer {
  public:
   MidiGain(std::string name, double gain)
       : Consumer(std::move(name)), gain_(gain) {}
+
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
+  }
 
  protected:
   void push(Item x) override {

@@ -45,6 +45,9 @@ class MpegFileSource : public PassiveSource {
   /// VCR control: kEventSeek jumps to the GOP containing the target frame
   /// (paused/playing state is the pump's business — STOP/START).
   void handle_event(const Event& e) override;
+  [[nodiscard]] EventSet accepted_events() const override {
+    return {kEventSeek};
+  }
 
  protected:
   Item generate() override;
@@ -85,6 +88,9 @@ class MpegDecoder : public FunctionComponent {
                                               int) const override;
 
   void handle_event(const Event& e) override;
+  [[nodiscard]] EventSet accepted_events() const override {
+    return {kEventFrameRelease};
+  }
 
  protected:
   Item convert(Item x) override;
@@ -123,6 +129,9 @@ class FrameDropFilter : public Consumer {
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
   void handle_event(const Event& e) override;
+  [[nodiscard]] EventSet accepted_events() const override {
+    return {kEventDropLevel, kEventQualityHint};
+  }
 
  protected:
   void push(Item x) override;
@@ -144,6 +153,9 @@ class Resizer : public FunctionComponent {
   [[nodiscard]] int height() const noexcept { return height_; }
 
   void handle_event(const Event& e) override;
+  [[nodiscard]] EventSet accepted_events() const override {
+    return {kEventWindowResize};
+  }
 
   /// The resizer is inoperable unless something (normally the display)
   /// announces window sizes (§2.3 control capabilities).
@@ -186,6 +198,10 @@ class VideoDisplay : public PassiveSink {
 
   [[nodiscard]] StringSet control_emits() const override {
     return {"window-resize", "frame-release"};
+  }
+
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
   }
 
  protected:

@@ -46,6 +46,10 @@ class NetSender : public PassiveSink {
   /// Bound to a transport on this node: pins its section under rebalancing.
   [[nodiscard]] bool migratable() const override { return false; }
 
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
+  }
+
  protected:
   void consume(Item x) override { link_->send(realization()->runtime(), std::move(x)); }
   /// Batched path: resolve the runtime once per burst; the transport itself
@@ -98,6 +102,10 @@ class NetReceiver : public ActiveSource {
   /// component attached to an external I/O path.
   [[nodiscard]] bool migratable() const override { return false; }
 
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
+  }
+
  protected:
   /// Fire as soon as a packet is available; block (control-responsively)
   /// until one arrives.
@@ -136,6 +144,10 @@ class MarshalFilter : public FunctionComponent {
     Typespec out = in;
     out.set(props::kItemType, std::string("bytes"));
     return out;
+  }
+
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
   }
 
  protected:
@@ -180,6 +192,10 @@ class UnmarshalFilter : public FunctionComponent {
     Typespec out = in;
     out.set(props::kItemType, item_type_);
     return out;
+  }
+
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
   }
 
  protected:

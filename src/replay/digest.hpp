@@ -34,6 +34,10 @@ class DigestProbe : public FunctionComponent {
     return n_.load(std::memory_order_relaxed);
   }
 
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
+  }
+
  protected:
   Item convert(Item x) override {
     if (x.is_data()) {

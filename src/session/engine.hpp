@@ -108,6 +108,10 @@ class SessionSource : public ActiveSource {
     return st_->live.load(std::memory_order_relaxed);
   }
 
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
+  }
+
  protected:
   void prepare(rt::Time now) override;
   [[nodiscard]] rt::Time next_fire(rt::Time now) override;
@@ -166,6 +170,9 @@ class ClassGovernor : public FunctionComponent {
       : FunctionComponent(std::move(name)), st_(st), min_mult_(min_mult) {}
 
   void handle_event(const Event& e) override;
+  [[nodiscard]] EventSet accepted_events() const override {
+    return {kEventQualityHint};
+  }
 
   [[nodiscard]] int hints_applied() const noexcept {
     return hints_.load(std::memory_order_relaxed);
@@ -197,6 +204,10 @@ class SessionSink : public PassiveSink {
   /// (or stopped-engine) access only.
   [[nodiscard]] std::uint64_t digest_of(SessionId id) const;
   [[nodiscard]] std::uint64_t items_of(SessionId id) const;
+
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
+  }
 
  private:
   struct Rec {

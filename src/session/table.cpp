@@ -28,6 +28,10 @@ class SoloSource : public ClockedSourceBase {
         id_(id),
         bytes_(p.payload_bytes) {}
 
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
+  }
+
  protected:
   [[nodiscard]] Item generate() override {
     return make_session_item(scratch_, id_, seq_++, pipeline_now(), bytes_);

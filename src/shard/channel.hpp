@@ -265,6 +265,10 @@ class ChannelSink : public PassiveSink {
 
   [[nodiscard]] ShardChannel& channel() noexcept { return *chan_; }
 
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
+  }
+
  protected:
   void consume(Item x) override;
   /// Batched path: publishes runs of data items through try_push_span — one
@@ -291,6 +295,10 @@ class ChannelSource : public PassiveSource {
   [[nodiscard]] Typespec output_offer(int port) const override {
     (void)port;
     return offer_;
+  }
+
+  [[nodiscard]] EventSet accepted_events() const override {
+    return EventSet::none();
   }
 
  protected:

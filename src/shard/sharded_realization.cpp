@@ -265,7 +265,7 @@ void ShardedRealization::forward_event(int from_shard, const Event& e) {
     for (std::size_t t = 0; t < reals_.size(); ++t) {
       if (static_cast<int>(t) == from_shard) continue;
       if (reals_[t]) {
-        reals_[t]->post_event_external(e);
+        if (reals_[t]->accepts(e.type)) reals_[t]->post_event_external(e);
       } else if (migrating_) {
         pending_.push_back(PendingEvent{static_cast<int>(t), nullptr, e});
       }
@@ -282,7 +282,7 @@ void ShardedRealization::post_event(const Event& e) {
     record_started(e);
     for (std::size_t t = 0; t < reals_.size(); ++t) {
       if (reals_[t]) {
-        reals_[t]->post_event_external(e);
+        if (reals_[t]->accepts(e.type)) reals_[t]->post_event_external(e);
       } else if (migrating_) {
         pending_.push_back(PendingEvent{static_cast<int>(t), nullptr, e});
       }

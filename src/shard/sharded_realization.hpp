@@ -11,9 +11,11 @@
 //
 // Control events stay global: a broadcast posted on any shard (a component's
 // broadcast(), end-of-stream, a start/stop from outside) is forwarded to
-// every other shard through Realization::post_event_external, which enqueues
-// it at the remote runtime's dispatch points — so deliver-while-blocked
-// semantics (§3.2) hold across shards exactly as within one.
+// every other shard that has a component accepting its type, through
+// Realization::post_event_external, which enqueues it at the remote
+// runtime's dispatch points — so deliver-while-blocked semantics (§3.2)
+// hold across shards exactly as within one. Shards with no interested
+// component are skipped (Component::accepted_events()).
 //
 // Live migration (ip_balance): a migratable section can be moved to another
 // shard while the rest of the flow keeps running. The protocol quiesces the
@@ -131,9 +133,11 @@ class ShardedRealization : public RealizationHandle {
   void stop() override { post_event(Event{kEventStop}); }
   void shutdown() override { post_event(Event{kEventShutdown}); }
 
-  /// Broadcast to every component on every shard. Events addressed to a
+  /// Broadcast to every component, on every shard, that accepts the event's
+  /// type; shards with no such component get nothing. Events addressed to a
   /// shard that is mid-migration are queued and replayed, in order, when the
-  /// shard's realization is rebuilt.
+  /// shard's realization is rebuilt (and routed by the rebuilt one). The
+  /// listener sees every broadcast.
   void post_event(const Event& e) override;
 
   /// Thread-safe targeted delivery that survives migrations: resolves which
@@ -143,8 +147,9 @@ class ShardedRealization : public RealizationHandle {
   /// dropped (like rt sends to dead threads) if no shard hosts `c`.
   void post_event_to_component(Component& c, const Event& e);
 
-  /// Observer for broadcast events originating on any shard. Runs on the
-  /// originating shard's kernel thread — treat it like a signal handler.
+  /// Observer for every broadcast event originating on any shard, whether
+  /// or not a component accepts it. Runs on the originating shard's kernel
+  /// thread — treat it like a signal handler.
   void set_event_listener(std::function<void(const Event&)> fn) {
     const std::lock_guard<std::mutex> lk(ev_mu_);
     listener_ = std::move(fn);

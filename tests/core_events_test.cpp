@@ -3,9 +3,11 @@
 //  * events queued during data processing are delivered as soon as the data
 //    function finishes, never concurrently with it,
 //  * local control flows upstream/downstream between adjacent components,
-//  * broadcasts reach every component.
+//  * broadcasts reach every component that accepts their type, and only
+//    the threads hosting one (Component::accepted_events()).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -304,6 +306,140 @@ TEST(Events, ControlReachesCoroutineHostedComponent) {
   EXPECT_EQ(sink.arrivals()[2].item.kind, 0);
   EXPECT_EQ(sink.arrivals()[15].item.kind, 7)
       << "control event did not reach the coroutine";
+}
+
+// ---- broadcast routing (accepted_events) ------------------------------------
+
+/// Pass-through that records every event type handed to it. Declares
+/// `accepts` unless constructed without one (then it keeps the default).
+class TypeRecorder : public FunctionComponent {
+ public:
+  explicit TypeRecorder(std::string name) : FunctionComponent(std::move(name)) {}
+  TypeRecorder(std::string name, EventSet accepts)
+      : FunctionComponent(std::move(name)), accepts_(std::move(accepts)) {}
+
+  std::vector<int> seen;
+
+  void handle_event(const Event& e) override { seen.push_back(e.type); }
+  [[nodiscard]] EventSet accepted_events() const override { return accepts_; }
+
+  [[nodiscard]] bool saw(int type) const {
+    return std::find(seen.begin(), seen.end(), type) != seen.end();
+  }
+
+ protected:
+  Item convert(Item x) override { return x; }
+
+ private:
+  EventSet accepts_ = EventSet::every();
+};
+
+/// An undeclared handler on the first section's thread and a handler
+/// declaring only kEvNote alone (with declared-none neighbours) on the
+/// second section's thread.
+struct RoutedChain {
+  CountingSource src{"src", 5};
+  FreeRunningPump pump1{"pump1"};
+  TypeRecorder open{"open"};
+  Buffer buf{"buf", 8};
+  FreeRunningPump pump2{"pump2"};
+  TypeRecorder narrow{"narrow", {kEvNote}};
+  CollectorSink sink{"sink"};
+  Pipeline p;
+  RoutedChain() {
+    p.connect(src, pump1);
+    p.connect(pump1, open);
+    p.connect(open, buf);
+    p.connect(buf, pump2);
+    p.connect(pump2, narrow);
+    p.connect(narrow, sink);
+  }
+};
+
+std::uint64_t control_dispatched(rt::Runtime& rtm) {
+  return rtm.metrics().counter("core.control_dispatched").value();
+}
+
+TEST(EventRouting, UndeclaredHandlerSeesEveryBroadcast) {
+  rt::Runtime rtm;
+  RoutedChain c;
+  Realization real(rtm, c.p);
+  real.post_event(Event{kEvProbe});
+  real.post_event(Event{kEventUser + 77});
+  rtm.run();
+  EXPECT_TRUE(c.open.saw(kEvProbe));
+  EXPECT_TRUE(c.open.saw(kEventUser + 77));
+}
+
+TEST(EventRouting, DisjointDeclarationSkipsComponentAndItsThread) {
+  rt::Runtime rtm;
+  RoutedChain c;
+  Realization real(rtm, c.p);
+  ASSERT_NE(real.host_thread(c.open), real.host_thread(c.narrow));
+
+  const std::uint64_t sent0 = rtm.stats().messages_sent;
+  const std::uint64_t disp0 = control_dispatched(rtm);
+  real.post_event(Event{kEvProbe});
+  // One control message, to the undeclared handler's thread; the narrow
+  // handler's thread hosts nobody who accepts kEvProbe and gets none.
+  EXPECT_EQ(rtm.stats().messages_sent - sent0, 1u);
+  rtm.run();
+  EXPECT_EQ(control_dispatched(rtm) - disp0, 1u) << "only `open` handles it";
+  EXPECT_TRUE(c.open.saw(kEvProbe));
+  EXPECT_FALSE(c.narrow.saw(kEvProbe));
+
+  // The declared type reaches it (and the undeclared handler too).
+  const std::uint64_t sent1 = rtm.stats().messages_sent;
+  real.post_event(Event{kEvNote});
+  EXPECT_EQ(rtm.stats().messages_sent - sent1, 2u);
+  rtm.run();
+  EXPECT_TRUE(c.narrow.saw(kEvNote));
+  EXPECT_TRUE(c.open.saw(kEvNote));
+}
+
+TEST(EventRouting, LifecycleReachesComponentsThatDeclareNothing) {
+  rt::Runtime rtm;
+  CountingSource src("src", 1000000);
+  ClockedPump pump("pump", 100.0);
+  TypeRecorder quiet("quiet", EventSet::none());
+  CollectorSink sink("sink");
+  auto ch = src >> pump >> quiet >> sink;
+  Realization real(rtm, ch.pipeline());
+  real.post_event(Event{kEvProbe});
+  real.start();
+  rtm.run_until(rt::milliseconds(35));
+  real.post_event(Event{kEventFlush});
+  real.stop();
+  rtm.run_until(rt::milliseconds(70));
+  EXPECT_EQ(quiet.seen,
+            (std::vector<int>{kEventStart, kEventFlush, kEventStop}));
+  EXPECT_GT(sink.count(), 0u);
+}
+
+TEST(EventRouting, ListenerSeesBroadcastsNoComponentAccepts) {
+  rt::Runtime rtm;
+  CountingSource src("src", 3);
+  FreeRunningPump pump("pump");
+  CollectorSink sink("sink");
+  auto ch = src >> pump >> sink;  // every member declares none
+  Realization real(rtm, ch.pipeline());
+  EXPECT_FALSE(real.accepts(kEvProbe));
+  EXPECT_TRUE(real.accepts(kEventStop));
+  std::vector<int> heard;
+  real.set_event_listener([&](const Event& e) { heard.push_back(e.type); });
+
+  const std::uint64_t sent0 = rtm.stats().messages_sent;
+  const std::uint64_t disp0 = control_dispatched(rtm);
+  real.post_event(Event{kEvProbe});
+  EXPECT_EQ(rtm.stats().messages_sent, sent0) << "nobody to deliver to";
+  rtm.run();
+  EXPECT_EQ(control_dispatched(rtm), disp0);
+  EXPECT_EQ(heard, std::vector<int>{kEvProbe});
+
+  real.start();
+  rtm.run();
+  EXPECT_EQ(sink.count(), 3u);
+  EXPECT_EQ(heard, (std::vector<int>{kEvProbe, kEventStart, kEventEndOfStream}));
 }
 
 }  // namespace
