@@ -109,9 +109,11 @@ void run_steady_state(benchmark::State& state, bool with_accountant) {
       opt.policy.min_imbalance = 2.0;
       rb = std::make_unique<balance::Rebalancer>(real, opt);
     }
-    real.start();
     if (rb) rb->launch();
+    // start() inside the window: the shard threads begin moving items the
+    // moment it is called.
     state.ResumeTiming();
+    real.start();
     real.wait_finished(std::chrono::seconds(120));
     state.PauseTiming();
     if (rb) rb->stop();
@@ -186,6 +188,8 @@ void BM_SkewRecovery(benchmark::State& state) {
     gopt.clock_factory = [] { return std::make_unique<rt::VirtualClock>(); };
     shard::ShardGroup group(2, gopt);
     shard::ShardedRealization real(group, c.pipe);
+    // A manual group runs nothing outside step_until(), so this start()
+    // moves no items outside the window, which times the recovery steps.
     real.start();
     group.step_until(rt::milliseconds(100));
     // Induce the skew: pile every section onto shard 0.
@@ -254,8 +258,8 @@ void BM_ElasticScaleCycle(benchmark::State& state) {
     ThreeStageChain c;
     shard::ShardGroup group(2);
     shard::ShardedRealization real(group, c.pipe);
-    real.start();
     state.ResumeTiming();
+    real.start();
 
     // Scale up: one more pinned runtime, and the middle section moves
     // onto it while items stream.

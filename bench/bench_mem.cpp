@@ -170,9 +170,9 @@ void BM_SingleRuntimeFlow(benchmark::State& state) {
     PumpedChain c;
     rt::Runtime rtm;
     Realization real(rtm, c.pipe);
-    real.start();
     const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
     state.ResumeTiming();
+    real.start();
     rtm.run();
     state.PauseTiming();
     const std::uint64_t allocs =
@@ -214,9 +214,11 @@ void BM_CrossShardFlow(benchmark::State& state) {
     PumpedChain c;
     shard::ShardGroup group(2);
     shard::ShardedRealization real(group, c.pipe);
-    real.start();
     const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    // start() inside the window: the shard threads begin moving items the
+    // moment it is called.
     state.ResumeTiming();
+    real.start();
     real.wait_finished(std::chrono::seconds(120));
     state.PauseTiming();
     const std::uint64_t allocs =
@@ -273,8 +275,8 @@ void BM_CrossShardFlowBatched(benchmark::State& state) {
     PumpedChain c(32);
     shard::ShardGroup group(2);
     shard::ShardedRealization real(group, c.pipe);
-    real.start();
     state.ResumeTiming();
+    real.start();
     real.wait_finished(std::chrono::seconds(120));
     state.PauseTiming();
     if (c.sink.count() != kItems) {

@@ -86,8 +86,8 @@ void BM_SingleRuntimeBaseline(benchmark::State& state) {
     FourStageChain c;
     rt::Runtime rtm;
     Realization real(rtm, c.pipe);
-    real.start();
     state.ResumeTiming();
+    real.start();
     rtm.run();
     state.PauseTiming();
     if (c.sink.count() != kItems) {
@@ -111,8 +111,10 @@ void BM_ShardThroughput(benchmark::State& state) {
     FourStageChain c;
     shard::ShardGroup group(n_shards);
     shard::ShardedRealization real(group, c.pipe);
-    real.start();
+    // start() inside the window: the shard threads begin moving items the
+    // moment it is called.
     state.ResumeTiming();
+    real.start();
     real.wait_finished(std::chrono::seconds(120));
     state.PauseTiming();
     if (c.sink.count() != kItems) {
@@ -167,8 +169,8 @@ void BM_CrossShardBatchedFlow(benchmark::State& state) {
     pipe.connect(p2, 0, sink, 0);
     shard::ShardGroup group(2);
     shard::ShardedRealization real(group, pipe);
-    real.start();
     state.ResumeTiming();
+    real.start();
     real.wait_finished(std::chrono::seconds(120));
     state.PauseTiming();
     if (sink.count() != kFlowItems) {

@@ -24,6 +24,10 @@
 
 namespace infopipe {
 
+namespace shard {
+class ShardedRealization;
+}  // namespace shard
+
 /// Thrown on illegal compositions: same-polarity connection, occupied port,
 /// incompatible Typespecs, sections without a driver, etc.
 class CompositionError : public std::runtime_error {
@@ -74,6 +78,15 @@ class Pipeline {
   [[nodiscard]] const Typespec* restriction(const Component& c,
                                             int in_port) const;
 
+  /// Control capabilities (§2.3) emitted outside this pipeline whose events
+  /// still reach it; the planner counts them as emitted when it checks what
+  /// the components require. Only a sharded realization credits any (see
+  /// the private mutator): its per-shard sub-pipelines receive the control
+  /// events forwarded from the other shards of an already checked parent.
+  [[nodiscard]] const StringSet& credited_control_emits() const noexcept {
+    return credited_emits_;
+  }
+
   // -- restructuring (between realizations) ------------------------------------
   // Pipelines are static while realized; restructuring is stop → edit →
   // re-realize (components are reusable across realizations). These editing
@@ -92,9 +105,18 @@ class Pipeline {
   void replace(Component& old, Component& replacement);
 
  private:
+  // Not public API: crediting would let a caller silence the §2.3 check.
+  // A sharded realization credits each sub-pipeline with its parent's
+  // emits, after the parent itself passed the check.
+  friend class shard::ShardedRealization;
+  void credit_control_emits(const StringSet& emits) {
+    credited_emits_.insert(emits.begin(), emits.end());
+  }
+
   std::vector<Component*> components_;
   std::vector<Edge> edges_;
   std::map<std::pair<const Component*, int>, Typespec> restrictions_;
+  StringSet credited_emits_;
 };
 
 /// Fluent chain builder returned by operator>> so that

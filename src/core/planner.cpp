@@ -217,9 +217,11 @@ class PlannerImpl {
 
   /// §2.3: every control capability a component REQUIRES must be emitted
   /// by some component of the pipeline, or the pipeline is inoperable
-  /// (e.g. a resizer that never learns the window size).
+  /// (e.g. a resizer that never learns the window size). Capabilities the
+  /// pipeline was credited with (a shard's sub-pipeline: emitted elsewhere
+  /// in the parent pipeline) count as emitted.
   void validate_control_capabilities() {
-    StringSet emitted;
+    StringSet emitted = pipe_.credited_control_emits();
     for (Component* c : pipe_.components()) {
       for (const std::string& e : c->control_emits()) emitted.insert(e);
     }

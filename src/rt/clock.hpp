@@ -7,6 +7,7 @@
 // provide RealClock for wall-clock runs (see DESIGN.md §3, substitutions).
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <mutex>
 
@@ -32,9 +33,10 @@ class Clock {
   /// thread is runnable.
   virtual void wait_until(Time t) = 0;
 
-  /// Wakes a wait_until() in progress (thread-safe). Used when external
-  /// messages are posted from other OS threads (rt::IoBridge); a virtual
-  /// clock never blocks, so the default is a no-op.
+  /// Wakes a wait_until() in progress, or makes the next one return at
+  /// once (thread-safe). Used when external messages are posted from other
+  /// OS threads (rt::IoBridge); a virtual clock never blocks, so the default
+  /// is a no-op.
   virtual void interrupt_wait() {}
 };
 
@@ -61,6 +63,14 @@ class VirtualClock final : public Clock {
 
 /// Monotonic wall-clock. now() is steady_clock relative to construction so
 /// that timestamps are small and comparable with VirtualClock traces.
+///
+/// An interrupt is sticky: one that arrives while no wait_until() runs makes
+/// the next one return at once. Only an interrupt that finds a wait in
+/// progress takes the mutex and notifies; interrupting a runtime that is
+/// busy is one atomic store and one load. interrupt_wait() stores
+/// `interrupted_` and then loads `waiting_`; wait_until() stores `waiting_`
+/// under the mutex and then re-reads `interrupted_` before it blocks. Both
+/// pairs are seq_cst (Dekker), so one side always sees the other.
 class RealClock final : public Clock {
  public:
   RealClock();
@@ -74,7 +84,8 @@ class RealClock final : public Clock {
   Time epoch_;  // steady_clock time at construction, in ns
   std::mutex m_;
   std::condition_variable cv_;
-  bool interrupted_ = false;
+  std::atomic<bool> interrupted_{false};
+  std::atomic<bool> waiting_{false};  ///< a wait_until() holds or awaits cv_
 };
 
 }  // namespace infopipe::rt

@@ -57,7 +57,7 @@ inline constexpr int kIoWritable = 304;  ///< payload: int (the fd); one-shot
 
 // ---- ip_shard (400..499) --------------------------------------------------
 inline constexpr int kChanData = 400;   ///< ring has data; wakes a consumer
-inline constexpr int kChanSpace = 401;  ///< ring has space; wakes a producer
+inline constexpr int kChanSpace = 401;  ///< ring at half; wakes a producer
 inline constexpr int kRunFn = 410;      ///< ShardGroup::run_on payload
 
 // ---- ip_replay (500..599) -------------------------------------------------

@@ -10,6 +10,22 @@ namespace {
 /// Overflow slots beyond capacity for the stopped-flow escape (one in-flight
 /// item per stop; a few slots cover repeated stop/restart before a drain).
 constexpr std::size_t kOverflowReserve = 4;
+
+/// Parks a producer that found the ring full and registered in its waiter
+/// slot, until the consumer's half-ring wake. A control event delivered
+/// meanwhile is dispatched (wait_interruptible) but keeps the producer
+/// registered and parked: only the wake, a stopped flow (the caller then
+/// escapes into the overflow reserve) or a shutdown (thrown) end the park.
+void park_producer(HostContext& host, ShardChannel& ch) {
+  ShardChannel* self = &ch;
+  const auto space = [self](const rt::Message& m) {
+    const auto* c = m.get<ShardChannel*>();
+    return m.type == detail::kMsgChanSpace && c != nullptr && *c == self;
+  };
+  while (!host.wait_interruptible(space) && !host.flow_stopped()) {
+  }
+  ch.clear_producer_waiter();
+}
 }  // namespace
 
 ShardChannel::ShardChannel(std::string name, std::size_t capacity,
@@ -50,12 +66,14 @@ void ShardChannel::place_ring(int node) {
 
 bool ShardChannel::try_push(Item& x) {
   const std::uint64_t t = tail_.load(std::memory_order_relaxed);
-  const std::uint64_t h = head_.load(std::memory_order_seq_cst);
-  if (t - h >= capacity_) return false;
+  if (t - cached_head_ >= capacity_) {
+    cached_head_ = head_.load(std::memory_order_seq_cst);
+    if (t - cached_head_ >= capacity_) return false;
+  }
   slots_[t % n_slots_] = std::move(x);
   tail_.store(t + 1, std::memory_order_seq_cst);
   pushes_.fetch_add(1, std::memory_order_relaxed);
-  note_depth(t + 1 - h);
+  note_depth(t + 1);
   // Tap after the tail store: position t is published. The sink check is
   // hoisted so the off path never loads the shard binding.
   if (replay::tap_sink() != nullptr) {
@@ -66,12 +84,14 @@ bool ShardChannel::try_push(Item& x) {
 
 bool ShardChannel::force_push(Item& x) {
   const std::uint64_t t = tail_.load(std::memory_order_relaxed);
-  const std::uint64_t h = head_.load(std::memory_order_seq_cst);
-  if (t - h >= n_slots_) return false;
+  if (t - cached_head_ >= n_slots_) {
+    cached_head_ = head_.load(std::memory_order_seq_cst);
+    if (t - cached_head_ >= n_slots_) return false;
+  }
   slots_[t % n_slots_] = std::move(x);
   tail_.store(t + 1, std::memory_order_seq_cst);
   pushes_.fetch_add(1, std::memory_order_relaxed);
-  note_depth(t + 1 - h);
+  note_depth(t + 1);
   if (replay::tap_sink() != nullptr) {
     replay::note_chan_push(this, name_hash_, t, 1, from_shard());
   }
@@ -80,20 +100,22 @@ bool ShardChannel::force_push(Item& x) {
 
 std::size_t ShardChannel::try_push_span(ItemSpan xs) {
   const std::uint64_t t = tail_.load(std::memory_order_relaxed);
-  const std::uint64_t h = head_.load(std::memory_order_seq_cst);
   // depth may transiently exceed capacity_ after a stopped-flow force_push;
   // the saturating subtraction keeps `space` at 0 until the drain catches up.
-  const std::uint64_t depth = t - h;
-  const std::uint64_t space = depth >= capacity_ ? 0 : capacity_ - depth;
-  const std::size_t n = static_cast<std::size_t>(
-      std::min<std::uint64_t>(space, xs.size()));
+  const auto space = [&] {
+    const std::uint64_t depth = t - cached_head_;
+    return depth >= capacity_ ? 0 : capacity_ - depth;
+  };
+  if (space() == 0) cached_head_ = head_.load(std::memory_order_seq_cst);
+  const std::size_t n =
+      static_cast<std::size_t>(std::min<std::uint64_t>(space(), xs.size()));
   if (n == 0) return 0;
   for (std::size_t i = 0; i < n; ++i) {
     slots_[(t + i) % n_slots_] = std::move(xs[i]);
   }
   tail_.store(t + n, std::memory_order_seq_cst);
   pushes_.fetch_add(n, std::memory_order_relaxed);
-  note_depth(t + n - h);
+  note_depth(t + n);
   if (replay::tap_sink() != nullptr) {
     replay::note_chan_push(this, name_hash_, t, n, from_shard());
   }
@@ -102,9 +124,9 @@ std::size_t ShardChannel::try_push_span(ItemSpan xs) {
 
 std::size_t ShardChannel::try_pop_span(ItemSpan out) {
   const std::uint64_t h = head_.load(std::memory_order_relaxed);
-  const std::uint64_t t = tail_.load(std::memory_order_seq_cst);
-  const std::size_t n =
-      static_cast<std::size_t>(std::min<std::uint64_t>(t - h, out.size()));
+  if (h == cached_tail_) cached_tail_ = tail_.load(std::memory_order_seq_cst);
+  const std::size_t n = static_cast<std::size_t>(
+      std::min<std::uint64_t>(cached_tail_ - h, out.size()));
   if (n == 0) return 0;
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = std::move(slots_[(h + i) % n_slots_]);
@@ -119,7 +141,10 @@ std::size_t ShardChannel::try_pop_span(ItemSpan out) {
 
 std::optional<Item> ShardChannel::try_pop() {
   const std::uint64_t h = head_.load(std::memory_order_relaxed);
-  if (h == tail_.load(std::memory_order_seq_cst)) return std::nullopt;
+  if (h == cached_tail_) {
+    cached_tail_ = tail_.load(std::memory_order_seq_cst);
+    if (h == cached_tail_) return std::nullopt;
+  }
   // A move, not a copy: the slot is left empty (no payload reference stays
   // behind in the ring), so when the consumer side drops the item the block
   // recycles to the CONSUMER's pool / the bounded return-to-owner stash.
@@ -132,26 +157,45 @@ std::optional<Item> ShardChannel::try_pop() {
   return x;
 }
 
-void ShardChannel::wake_producer() {
+bool ShardChannel::post_wake(std::atomic<rt::ThreadId>& slot,
+                             const std::atomic<rt::Runtime*>& rtm, int type) {
   const rt::ThreadId w =
-      producer_waiter_.exchange(rt::kNoThread, std::memory_order_seq_cst);
-  rt::Runtime* rtm = producer_rt_.load(std::memory_order_acquire);
-  if (w == rt::kNoThread || rtm == nullptr) return;
-  wakeups_.fetch_add(1, std::memory_order_relaxed);
-  rt::Message m{detail::kMsgChanSpace, rt::MsgClass::kData};
-  m.payload = static_cast<ShardChannel*>(this);
-  rtm->post_external(w, std::move(m));
+      slot.exchange(rt::kNoThread, std::memory_order_seq_cst);
+  rt::Runtime* r = rtm.load(std::memory_order_acquire);
+  if (w == rt::kNoThread || r == nullptr) return false;
+  rt::Message m{type, rt::MsgClass::kData};
+  m.payload = this;
+  r->post_external(w, std::move(m));
+  return true;
+}
+
+void ShardChannel::wake_producer() {
+  // Half-ring watermark. cached_tail_ - head_ never exceeds the true depth,
+  // so the pop that takes a parked producer's ring to half or below always
+  // reaches the slot load (see the header comment).
+  const std::uint64_t h = head_.load(std::memory_order_relaxed);
+  const std::uint64_t half = capacity_ / 2;
+  if (cached_tail_ - h > half) return;
+  if (producer_waiter_.load(std::memory_order_seq_cst) == rt::kNoThread) {
+    return;
+  }
+  // A producer registered, so its last push happened before the slot
+  // store this load just read: the tail is final while it stays parked.
+  // Re-read it so a stale copy does not wake the producer above half.
+  cached_tail_ = tail_.load(std::memory_order_acquire);
+  if (cached_tail_ - h > half) return;
+  if (post_wake(producer_waiter_, producer_rt_, detail::kMsgChanSpace)) {
+    space_wakeups_.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 void ShardChannel::wake_consumer() {
-  const rt::ThreadId w =
-      consumer_waiter_.exchange(rt::kNoThread, std::memory_order_seq_cst);
-  rt::Runtime* rtm = consumer_rt_.load(std::memory_order_acquire);
-  if (w == rt::kNoThread || rtm == nullptr) return;
-  wakeups_.fetch_add(1, std::memory_order_relaxed);
-  rt::Message m{detail::kMsgChanData, rt::MsgClass::kData};
-  m.payload = static_cast<ShardChannel*>(this);
-  rtm->post_external(w, std::move(m));
+  if (consumer_waiter_.load(std::memory_order_seq_cst) == rt::kNoThread) {
+    return;
+  }
+  if (post_wake(consumer_waiter_, consumer_rt_, detail::kMsgChanData)) {
+    data_wakeups_.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 ChannelStats ShardChannel::stats() const {
@@ -169,7 +213,8 @@ ChannelStats ShardChannel::stats() const {
   s.flow.take_blocks = consumer_stalls_.load(std::memory_order_relaxed);
   s.from_shard = producer_shard_.load(std::memory_order_acquire);
   s.to_shard = consumer_shard_.load(std::memory_order_acquire);
-  s.wakeups = wakeups_.load(std::memory_order_relaxed);
+  s.wakeups = space_wakeups_.load(std::memory_order_relaxed) +
+              data_wakeups_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -208,14 +253,7 @@ void ChannelSink::consume(Item x) {
       ch.wake_consumer();
       return;
     }
-    ShardChannel* self = &ch;
-    (void)host.wait_interruptible([self](const rt::Message& m) {
-      const auto* c = m.get<ShardChannel*>();
-      return m.type == detail::kMsgChanSpace && c != nullptr && *c == self;
-    });
-    // A control event may have woken us instead of a space notification;
-    // deregister and re-evaluate.
-    ch.clear_producer_waiter();
+    park_producer(host, ch);
     IP_OBS_TRACE(host.runtime().tracer(), obs::Hop::kBufferUnblock,
                  name().c_str(), 0, static_cast<std::int64_t>(ch.depth()));
   }
@@ -277,12 +315,7 @@ void ChannelSink::consume_span(ItemSpan xs) {
         done += again;
         continue;
       }
-      ShardChannel* self = &ch;
-      (void)host.wait_interruptible([self](const rt::Message& m) {
-        const auto* c = m.get<ShardChannel*>();
-        return m.type == detail::kMsgChanSpace && c != nullptr && *c == self;
-      });
-      ch.clear_producer_waiter();
+      park_producer(host, ch);
       IP_OBS_TRACE(host.runtime().tracer(), obs::Hop::kBufferUnblock,
                    name().c_str(), 0, static_cast<std::int64_t>(ch.depth()));
     }

@@ -4,25 +4,52 @@
 // planner placed between two sections is replaced by a bounded SPSC ring
 // whose producer endpoint (ChannelSink) lives on the upstream shard and
 // whose consumer endpoint (ChannelSource) lives on the downstream shard.
-// The fast path is wait-free — one atomic load, a slot move, one atomic
-// store per item. Only when a side finds the ring full/empty does it fall
-// back to the doorbell path: it publishes its thread id in a waiter slot and
-// parks in the middleware's control-responsive wait; the other side, after
-// every push/pop, exchanges the waiter slot and posts a wakeup message
-// through rt::Runtime::post_external (which rings the shard's Doorbell), so
-// an idle shard sleeps instead of spinning.
+//
+// Ring. The fast path is wait-free: a slot move and one store of the side's
+// own position per item. Each side keeps a plain copy of the other side's
+// position (cached_head_ / cached_tail_) and re-reads the shared one only
+// when the copy says the ring is full (producer) or empty (consumer), so in
+// steady state neither side touches the other's cache line per item. (The
+// producer also re-reads head_ while its cached bound on the depth is above
+// the depth high-water mark, so that mark stays exact; a saturated ring
+// reaches its peak, capacity, within the first fill.) The producer-owned fields (tail_, cached_head_, its counters), the
+// consumer-owned fields (head_, cached_tail_, its counters), each waiter
+// slot and eos_ sit on separate 64-byte lines.
+//
+// Wake-ups. Only when a side finds the ring full/empty does it fall back to
+// the doorbell path: it publishes its thread id in a waiter slot and parks
+// in the middleware's control-responsive wait. The other side wakes it by
+// posting a message through rt::Runtime::post_external (which rings the
+// shard's Doorbell), so an idle shard sleeps instead of spinning:
+//   - the producer wakes an empty-parked consumer after every push;
+//   - the consumer wakes a full-parked producer only once the ring has
+//     drained to half (post-pop depth <= capacity/2), so a producer that
+//     parked pays one wake-up per half ring, not one per pop.
+// Both sides first LOAD the waiter slot and exchange it only when it holds
+// a thread, so a side that is awake costs the other a load, not an RMW.
 //
 // The sleep/wake handshake is a classic Dekker pattern on
-// (ring state, waiter slot): the waiter stores its tid and THEN re-checks
-// the ring; the other side updates the ring and THEN exchanges the waiter
-// slot. All four accesses are seq_cst, so one of the two always observes the
-// other's write and no wakeup is lost.
+// (ring position, waiter slot): the waiter stores its tid and THEN re-reads
+// the other side's position (a recheck after a failed op always re-reads:
+// the cached copy already says full/empty); the other side stores its own
+// position and THEN loads the waiter slot. All four accesses are seq_cst,
+// so one of the two always observes the other's write. The consumer skips
+// the slot load above the half-ring watermark; that misses nothing because
+// the depth it tests, cached_tail_ - head_, is a lower bound on the real
+// depth, and while the producer is parked the real depth only falls, so
+// the pop that takes it to half or below always loads the slot. When the
+// slot holds a thread, the consumer re-reads tail_ before waking it, so a
+// stale copy does not wake the producer above half.
+//
+// A parked producer stays parked until that wake: a control event that
+// arrives meanwhile is dispatched (§3.2: a blocked endpoint still handles
+// control, via wait_interruptible) but does not send it back to the ring;
+// only a stopped flow or a shutdown ends the park early.
 //
 // Semantics mirror core::Buffer so a cut is behaviour-preserving:
 // end-of-stream is a sticky flag drained after queued items, kDropNewest
-// counts drops, EmptyPolicy::kNil returns nils, a stopped flow stashes the
-// in-flight item in a small overflow reserve instead of dropping it, and a
-// blocked endpoint still dispatches control events (wait_interruptible).
+// counts drops, EmptyPolicy::kNil returns nils, and a stopped flow stashes
+// the in-flight item in a small overflow reserve instead of dropping it.
 // FullPolicy::kDropOldest cannot be reproduced without racing the consumer;
 // partition() colocates such buffers so they are never cut.
 #pragma once
@@ -50,7 +77,7 @@ namespace detail {
 /// ShardChannel*). Values allotted in rt/msg_registry.hpp.
 enum ShardMsgType : int {
   kMsgChanData = rt::msg::kChanData,    ///< ring has data; wakes a consumer
-  kMsgChanSpace = rt::msg::kChanSpace,  ///< ring has space; wakes a producer
+  kMsgChanSpace = rt::msg::kChanSpace,  ///< ring at half; wakes a producer
   kMsgRunFn = rt::msg::kRunFn,          ///< ShardGroup::run_on payload
 };
 }  // namespace detail
@@ -122,12 +149,15 @@ class ShardChannel {
   // -- ring (producer side: try_push/force_push; consumer side: try_pop) -----
 
   /// Moves `x` into the ring if depth < capacity. Producer shard only.
+  /// Re-reads head_ when cached_head_ says the ring is full, or when the
+  /// depth bound it gives exceeds the high-water mark (note_depth).
   bool try_push(Item& x);
   /// Like try_push but may use the small overflow reserve beyond capacity;
   /// the stopped-flow escape hatch mirroring Buffer::put's transient
   /// one-slot overflow. Returns false only when even the reserve is full.
   bool force_push(Item& x);
-  /// Takes the oldest item, if any. Consumer shard only.
+  /// Takes the oldest item, if any. Consumer shard only. Re-reads tail_
+  /// only when cached_tail_ says the ring is empty.
   std::optional<Item> try_pop();
 
   /// Batched push (PR 6): claims min(space, xs.size()) slots and publishes
@@ -169,11 +199,12 @@ class ShardChannel {
     consumer_waiter_.store(rt::kNoThread, std::memory_order_seq_cst);
   }
 
-  /// Posts kMsgChanSpace to a parked producer, if one registered. Called by
-  /// the consumer after every pop.
+  /// Called by the consumer after every pop: posts kMsgChanSpace to a
+  /// parked producer, if one registered, once the post-pop depth is at or
+  /// below capacity/2 (the half-ring watermark).
   void wake_producer();
-  /// Posts kMsgChanData to a parked consumer, if one registered. Called by
-  /// the producer after every push (and on EOS).
+  /// Called by the producer after every push (and on EOS): posts
+  /// kMsgChanData to a parked consumer, if one registered.
   void wake_consumer();
 
   // -- stats (relaxed atomics, sampled by stats()) ----------------------------
@@ -199,13 +230,26 @@ class ShardChannel {
 
   /// Rendered in the BufferStats schema (stats().flow): the channel is the
   /// buffer it replaced, so fill==depth, puts==pushes, takes==pops,
-  /// put_blocks==producer stalls, take_blocks==consumer stalls.
+  /// put_blocks==producer stalls, take_blocks==consumer stalls. max_fill is
+  /// the largest depth right after a push, against head_ as the producer
+  /// read it then (Buffer's high-water mark); wakeups sums both sides'
+  /// doorbell posts.
   [[nodiscard]] ChannelStats stats() const;
 
  private:
   /// (Re)creates the slot array on `node`; ring must be empty.
   void alloc_slots(int node);
   void free_slots() noexcept;
+
+  /// Claims `slot`'s thread (exchange) and posts it a `type` message
+  /// through `rtm`'s external queue. Callers load the slot first and call
+  /// this only when it holds a thread. False when nothing was posted.
+  bool post_wake(std::atomic<rt::ThreadId>& slot,
+                 const std::atomic<rt::Runtime*>& rtm, int type);
+
+  static constexpr std::size_t kLine = 64;
+
+  // -- read-mostly: written at construction, binding and migration ----------
 
   std::string name_;
   std::uint64_t name_hash_;
@@ -222,35 +266,57 @@ class ShardChannel {
   mem::NumaBlock ring_mem_;
   std::atomic<int> ring_node_{-1};
 
-  // Monotonic positions; slot index = position % slots_.size(). 64-bit
-  // counters make wraparound a non-issue at any realistic item rate.
-  std::atomic<std::uint64_t> head_{0};  ///< next pop position
-  std::atomic<std::uint64_t> tail_{0};  ///< next push position
-  std::atomic<bool> eos_{false};
-
-  /// High-water mark. Only the producer writes it (right after its own
-  /// push), so a plain load-compare-store is enough.
-  void note_depth(std::uint64_t d) noexcept {
-    if (d > max_depth_.load(std::memory_order_relaxed)) {
-      max_depth_.store(d, std::memory_order_relaxed);
-    }
-  }
-
   std::atomic<rt::Runtime*> producer_rt_{nullptr};
   std::atomic<rt::Runtime*> consumer_rt_{nullptr};
   std::atomic<int> producer_shard_{0};
   std::atomic<int> consumer_shard_{0};
-  std::atomic<rt::ThreadId> producer_waiter_{rt::kNoThread};
-  std::atomic<rt::ThreadId> consumer_waiter_{rt::kNoThread};
 
+  // Monotonic positions; slot index = position % n_slots_. 64-bit counters
+  // make wraparound a non-issue at any realistic item rate. Each side's
+  // counters are single-writer relaxed atomics beside its own position, so
+  // counting never moves the other side's line.
+
+  // -- producer line ---------------------------------------------------------
+
+  alignas(kLine) std::atomic<std::uint64_t> tail_{0};  ///< next push position
+  /// The producer's last view of head_: a lower bound on it.
+  std::uint64_t cached_head_ = 0;
   std::atomic<std::uint64_t> pushes_{0};
-  std::atomic<std::uint64_t> pops_{0};
   std::atomic<std::uint64_t> producer_stalls_{0};
-  std::atomic<std::uint64_t> consumer_stalls_{0};
-  std::atomic<std::uint64_t> wakeups_{0};
   std::atomic<std::uint64_t> drops_{0};
+  std::atomic<std::uint64_t> max_depth_{0};
+  std::atomic<std::uint64_t> data_wakeups_{0};  ///< kMsgChanData posts
+
+  /// Records the true depth right after a push that moved the tail to
+  /// `new_tail`, if it is a new high-water mark. new_tail - cached_head_
+  /// bounds the depth from above, so head_ is re-read (and the cache
+  /// refreshed) only when that bound exceeds the mark: the mark is exact,
+  /// and once it has peaked (a saturated ring: capacity) this costs the
+  /// producer no read of the consumer's line. Only the producer writes the
+  /// mark, so a plain load-compare-store is enough.
+  void note_depth(std::uint64_t new_tail) noexcept {
+    const std::uint64_t mark = max_depth_.load(std::memory_order_relaxed);
+    if (new_tail - cached_head_ <= mark) return;
+    cached_head_ = head_.load(std::memory_order_acquire);
+    const std::uint64_t d = new_tail - cached_head_;
+    if (d > mark) max_depth_.store(d, std::memory_order_relaxed);
+  }
+
+  // -- consumer line ---------------------------------------------------------
+
+  alignas(kLine) std::atomic<std::uint64_t> head_{0};  ///< next pop position
+  /// The consumer's last view of tail_: a lower bound on it.
+  std::uint64_t cached_tail_ = 0;
+  std::atomic<std::uint64_t> pops_{0};
+  std::atomic<std::uint64_t> consumer_stalls_{0};
   std::atomic<std::uint64_t> nils_{0};
-  std::atomic<std::uint64_t> max_depth_{0};  ///< producer-side single writer
+  std::atomic<std::uint64_t> space_wakeups_{0};  ///< kMsgChanSpace posts
+
+  // -- one line each: written by one side, polled by the other ---------------
+
+  alignas(kLine) std::atomic<rt::ThreadId> producer_waiter_{rt::kNoThread};
+  alignas(kLine) std::atomic<rt::ThreadId> consumer_waiter_{rt::kNoThread};
+  alignas(kLine) std::atomic<bool> eos_{false};
 };
 
 /// Upstream endpoint of a cut: a passive sink the upstream section's driver

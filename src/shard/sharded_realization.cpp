@@ -121,8 +121,18 @@ Typespec ShardedRealization::cut_spec(const Component& buffer) const {
 
 void ShardedRealization::build_sub_pipes(const std::vector<int>& shards) {
   const std::set<int> wanted(shards.begin(), shards.end());
+  // Control events cross shards (forward_event), so a section may require
+  // a capability that a component on another shard emits. The whole
+  // pipeline passed the check in plan_; each sub-pipeline is credited with
+  // what the parent emits and still checks its own requirements against it.
+  StringSet emits = pipe_->credited_control_emits();
+  for (const Component* c : pipe_->components()) {
+    const StringSet e = c->control_emits();
+    emits.insert(e.begin(), e.end());
+  }
   for (int s : wanted) {
     sub_pipes_[static_cast<std::size_t>(s)] = std::make_unique<Pipeline>();
+    sub_pipes_[static_cast<std::size_t>(s)]->credit_control_emits(emits);
   }
   const std::map<const Component*, int> shard_of_comp = compute_shard_of_comp();
   const std::map<const Component*, std::size_t> cut_of = live_cut_of();

@@ -4,9 +4,10 @@
 // The threaded tests run under RealClock (shards need a common wall clock)
 // and are written to be TSan-clean: live shard state is only read through
 // ShardGroup::run_on, and direct reads happen only after group.stop() has
-// joined the host threads. The broadcast-routing tests at the end run in
-// lockstep instead (manual shards, virtual clocks), so they can count every
-// message each shard receives.
+// joined the host threads. The broadcast-routing, wake-protocol and
+// cross-shard capability tests at the end run in lockstep instead (manual
+// shards, virtual clocks), so they can count every message each shard
+// receives.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -82,6 +83,46 @@ TEST(ShardChannel, CapacityBoundsAndForcePushReserve) {
   EXPECT_TRUE(ch.try_pop().has_value());
   Item d = Item::token();
   EXPECT_FALSE(ch.try_push(d));  // still >= capacity
+}
+
+TEST(ShardChannel, MaxFillIsTheTrueHighWaterMark) {
+  shard::ShardChannel ch("mark", 16);
+  // A consumer that keeps up holds the ring at one item, however many pass
+  // (the producer's cached head goes stale long before the ring is full).
+  for (int i = 0; i < 100; ++i) {
+    Item x = Item::token();
+    ASSERT_TRUE(ch.try_push(x));
+    ASSERT_TRUE(ch.try_pop().has_value());
+  }
+  EXPECT_EQ(ch.stats().flow.max_fill, 1u);
+
+  // A burst of five then a drain: the mark is five, not the stale bound.
+  for (int i = 0; i < 5; ++i) {
+    Item x = Item::token();
+    ASSERT_TRUE(ch.try_push(x));
+  }
+  while (ch.try_pop().has_value()) {
+  }
+  for (int i = 0; i < 40; ++i) {
+    Item x = Item::token();
+    ASSERT_TRUE(ch.try_push(x));
+    ASSERT_TRUE(ch.try_pop().has_value());
+  }
+  EXPECT_EQ(ch.stats().flow.max_fill, 5u);
+
+  // Span pushes and the overflow reserve count too. (A span push may move
+  // fewer items than there is room for: its room is judged by the cached
+  // head, re-read only once that says full.)
+  std::vector<Item> xs(16, Item::token());
+  std::size_t moved = 0;
+  while (moved < xs.size()) {
+    moved += ch.try_push_span(ItemSpan(xs.data() + moved, xs.size() - moved));
+  }
+  EXPECT_EQ(ch.depth(), 16u);
+  EXPECT_EQ(ch.stats().flow.max_fill, 16u);
+  Item y = Item::token();
+  EXPECT_TRUE(ch.force_push(y));
+  EXPECT_EQ(ch.stats().flow.max_fill, 17u);
 }
 
 // --- the group --------------------------------------------------------------
@@ -505,6 +546,303 @@ TEST(ShardedRouting, FrameReleaseFollowsTheMigratedDecoder) {
   // single-GOP stream would pile up every P frame.
   EXPECT_LE(plain.max_held, 40u);
   EXPECT_LE(moved.max_held, 40u);
+}
+
+// --- the wake protocol, step by step (lockstep) -----------------------------
+
+/// Two manual shards around one cut of capacity 8: a free-running producer
+/// section (src -> p1 -> ear -> cut) and a consumer section the test plays
+/// by hand. Only the producer's runtime is stepped, so the real consumer
+/// section never runs until drain(); meanwhile the test thread pops and
+/// wakes exactly as ChannelSource does.
+struct ParkedProducer {
+  static constexpr int kPing = kEventUser + 31;
+  static constexpr std::uint64_t kN = 100;
+
+  CountingSource src{"src", kN};
+  FreeRunningPump p1{"p1"};
+  DeclaredEar ear{"ear", {kPing}};
+  Buffer cut{"cut", 8};
+  FreeRunningPump p2{"p2"};
+  EventRecordingSink sink{"sink"};
+  Pipeline pipe;
+  shard::ShardGroup group{2, manual_opts()};
+  std::unique_ptr<shard::ShardedRealization> sr;
+  shard::ShardChannel* ch = nullptr;
+  rt::Time now = 0;
+
+  ParkedProducer() {
+    pipe.connect(src, 0, p1, 0);
+    pipe.connect(p1, 0, ear, 0);
+    pipe.connect(ear, 0, cut, 0);
+    pipe.connect(cut, 0, p2, 0);
+    pipe.connect(p2, 0, sink, 0);
+    sr = std::make_unique<shard::ShardedRealization>(group, pipe);
+    ch = sr->find_live_channel("cut");
+  }
+
+  rt::Runtime& producer() {
+    return group.runtime(sr->shard_of_section(0));
+  }
+  /// One millisecond of the producer's shard alone.
+  void run_producer() {
+    now += rt::milliseconds(1);
+    producer().run_until(now);
+  }
+  /// Starts the flow; the producer fills the ring and parks.
+  void start_and_park() {
+    sr->start();
+    run_producer();
+  }
+  /// The consumer's side of one pop: take the oldest item, then wake.
+  std::uint64_t pop() {
+    std::optional<Item> x = ch->try_pop();
+    EXPECT_TRUE(x.has_value());
+    ch->wake_producer();
+    return x.has_value() ? x->seq : ~std::uint64_t{0};
+  }
+  [[nodiscard]] std::uint64_t sent() {
+    return producer().stats().messages_sent;
+  }
+  [[nodiscard]] ChannelStats stats() const { return ch->stats(); }
+  /// Lets every shard run until the sink sees EOS.
+  void drain() {
+    for (int i = 0; i < 100 && !sink.eos; ++i) {
+      now += rt::milliseconds(10);
+      group.step_until(now);
+    }
+    EXPECT_TRUE(sr->finished());
+  }
+  /// The sink got [first, kN) in order, then EOS.
+  void expect_delivered_from(std::uint64_t first) {
+    ASSERT_EQ(sink.seqs.size(), kN - first);
+    for (std::uint64_t i = first; i < kN; ++i) {
+      EXPECT_EQ(sink.seqs[i - first], i);
+    }
+    EXPECT_TRUE(sink.eos);
+  }
+};
+
+TEST(ChannelWake, ParkedProducerWakesOnlyAtTheHalfRingWatermark) {
+  ParkedProducer f;
+  ASSERT_NE(f.ch, nullptr);
+  ASSERT_EQ(f.ch->capacity(), 8u);
+  f.start_and_park();
+  ASSERT_EQ(f.ch->depth(), 8u);
+  ASSERT_EQ(f.stats().flow.put_blocks, 1u);
+  const std::uint64_t sent0 = f.sent();
+  // Depth 7, 6, 5: above capacity/2, so no kMsgChanSpace reaches the
+  // producer and it stays parked.
+  for (std::uint64_t k = 1; k <= 3; ++k) {
+    EXPECT_EQ(f.pop(), k - 1);
+    f.run_producer();
+    EXPECT_EQ(f.ch->depth(), 8u - k);
+    EXPECT_EQ(f.stats().wakeups, 0u);
+    EXPECT_EQ(f.sent(), sent0) << "producer woken at depth " << 8 - k;
+  }
+  // Depth 4 = capacity/2: exactly one wake, and the producer refills.
+  EXPECT_EQ(f.pop(), 3u);
+  EXPECT_EQ(f.stats().wakeups, 1u);
+  f.run_producer();
+  EXPECT_EQ(f.sent(), sent0 + 1);
+  EXPECT_EQ(f.ch->depth(), 8u);
+  EXPECT_EQ(f.stats().flow.put_blocks, 2u);
+  EXPECT_EQ(f.stats().wakeups, 1u);
+  f.drain();
+  f.expect_delivered_from(4);
+}
+
+TEST(ChannelWake, ControlEventIsDispatchedButDoesNotResumeTheParkedProducer) {
+  ParkedProducer f;
+  f.start_and_park();
+  EXPECT_EQ(f.pop(), 0u);  // depth 7: one free slot, still no wake
+  f.ear.heard.clear();
+  f.sr->post_event(Event{ParkedProducer::kPing});
+  f.run_producer();
+  // §3.2: the blocked endpoint handled the event...
+  EXPECT_EQ(f.ear.heard, (std::vector<int>{ParkedProducer::kPing}));
+  // ...but stayed parked: no push into the free slot, no second stall.
+  EXPECT_EQ(f.ch->depth(), 7u);
+  EXPECT_EQ(f.stats().flow.puts, 8u);
+  EXPECT_EQ(f.stats().flow.put_blocks, 1u);
+  EXPECT_EQ(f.stats().wakeups, 0u);
+  for (std::uint64_t k = 1; k <= 3; ++k) EXPECT_EQ(f.pop(), k);
+  f.run_producer();  // woken at depth 4
+  EXPECT_EQ(f.ch->depth(), 8u);
+  f.drain();
+  f.expect_delivered_from(4);
+}
+
+TEST(ChannelWake, StopWhileParkedEscapesIntoTheReserveAndLosesNothing) {
+  ParkedProducer f;
+  f.start_and_park();
+  f.sr->stop();
+  f.run_producer();
+  // The item in the producer's hand went into the overflow reserve.
+  EXPECT_EQ(f.ch->depth(), 9u);
+  EXPECT_EQ(f.stats().flow.puts, 9u);
+  f.now += rt::milliseconds(1);
+  f.group.step_until(f.now);  // the consumer shard acknowledges the stop
+  ASSERT_TRUE(f.sr->finished());
+  f.sr->start();
+  f.drain();
+  f.expect_delivered_from(0);
+}
+
+TEST(ChannelWake, CapacityOneStillMakesProgress) {
+  constexpr std::uint64_t kN = 200;
+  CountingSource src{"src", kN};
+  FreeRunningPump p1{"p1"};
+  Buffer cut{"cut", 1};
+  FreeRunningPump p2{"p2"};
+  EventRecordingSink sink{"sink"};
+  auto ch = src >> p1 >> cut >> p2 >> sink;
+  shard::ShardGroup group(2, manual_opts());
+  shard::ShardedRealization sr(group, ch.pipeline());
+  ASSERT_EQ(sr.channel_count(), 1u);
+  sr.start();
+  for (int i = 1; i <= 100 && !sink.eos; ++i) {
+    group.step_until(rt::milliseconds(i));
+  }
+  EXPECT_TRUE(sr.finished());
+  ASSERT_EQ(sink.seqs.size(), kN);
+  for (std::uint64_t i = 0; i < kN; ++i) EXPECT_EQ(sink.seqs[i], i);
+  EXPECT_TRUE(sink.eos);
+  EXPECT_GT(sr.channel(0).stats().flow.put_blocks, 0u);
+}
+
+/// Pins config().elastic for one scope (the INFOPIPE_ELASTIC kill switch).
+class ElasticGuard {
+ public:
+  ElasticGuard() : prev_(config().elastic) { config().elastic = true; }
+  ~ElasticGuard() { config().elastic = prev_; }
+  ElasticGuard(const ElasticGuard&) = delete;
+  ElasticGuard& operator=(const ElasticGuard&) = delete;
+
+ private:
+  bool prev_;
+};
+
+/// A free-running producer over a 1 kHz consumer keeps the ring above the
+/// half-ring watermark with the producer parked; the consumer section then
+/// moves to another shard (`retire`: one added for it, and its old home is
+/// retired) and the flow must finish without losing or reordering an item.
+void move_consumer_while_producer_parked(bool retire) {
+  constexpr std::uint64_t kN = 200;
+  CountingSource src{"src", kN};
+  FreeRunningPump p1{"p1"};
+  Buffer cut{"cut", 8};
+  ClockedPump p2{"p2", 1000.0};
+  EventRecordingSink sink{"sink"};
+  auto ch = src >> p1 >> cut >> p2 >> sink;
+  shard::ShardGroup group(retire ? 2 : 3, manual_opts());
+  shard::ShardedRealization sr(group, ch.pipeline());
+  sr.start();
+  group.step_until(rt::milliseconds(10));
+  const shard::ShardChannel* chan = sr.find_live_channel("cut");
+  ASSERT_NE(chan, nullptr);
+  ASSERT_GT(chan->depth(), 4u) << "producer not parked above the watermark";
+  ASSERT_GE(chan->stats().flow.put_blocks, 1u);
+
+  const int producer = sr.shard_of_section(0);
+  const int consumer = sr.shard_of_section(1);
+  int target = 3 - producer - consumer;  // the idle third shard
+  if (retire) {
+    target = group.add_shard();
+    sr.sync_topology();
+  }
+  const shard::MigrationOutcome out = sr.migrate_section(1, target);
+  EXPECT_EQ(out.cuts_rebound, 1u);
+  EXPECT_EQ(sr.shard_of_section(0), producer);
+  EXPECT_EQ(sr.shard_of_section(1), target);
+  if (retire) group.retire_shard(consumer);
+
+  for (int i = 2; i <= 100 && !sink.eos; ++i) {
+    group.step_until(rt::milliseconds(10 * i));
+  }
+  EXPECT_TRUE(sr.finished());
+  ASSERT_EQ(sink.seqs.size(), kN);
+  for (std::uint64_t i = 0; i < kN; ++i) EXPECT_EQ(sink.seqs[i], i);
+  EXPECT_TRUE(sink.eos);
+}
+
+TEST(ChannelWake, MigratingTheConsumerWhileProducerParkedIsLossFree) {
+  move_consumer_while_producer_parked(false);
+}
+
+TEST(ChannelWake, RetiringTheConsumerShardWhileProducerParkedIsLossFree) {
+  const ElasticGuard elastic_on;
+  move_consumer_while_producer_parked(true);
+}
+
+// --- control capabilities across shards ------------------------------------
+
+/// Display that records frame widths and, at one frame, broadcasts a new
+/// window size from its own shard.
+class ResizingDisplay : public media::VideoDisplay {
+ public:
+  ResizingDisplay(std::string name, std::uint64_t resize_at)
+      : VideoDisplay(std::move(name)), resize_at_(resize_at) {}
+  std::vector<int> widths;
+
+ protected:
+  void consume(Item x) override {
+    widths.push_back(x.as<media::VideoFrame>().width);
+    if (x.seq == resize_at_) {
+      broadcast(Event{kEventWindowResize, std::make_pair(640, 480)});
+    }
+    VideoDisplay::consume(std::move(x));
+  }
+
+ private:
+  std::uint64_t resize_at_;
+};
+
+TEST(ShardedRealization, ResizerOnAnotherShardThanTheDisplayComposes) {
+  media::StreamConfig cfg;
+  cfg.frames = 60;
+  media::MpegFileSource movie{"movie", cfg};
+  ClockedPump decode_pump{"decode-pump", 100.0};
+  media::MpegDecoder decoder{"decoder"};
+  media::Resizer resizer{"resizer", 320, 240};
+  Buffer resized{"resized", 8};
+  ClockedPump present_pump{"present-pump", 100.0};
+  ResizingDisplay display{"display", 20};
+  auto ch = movie >> decode_pump >> decoder >> resizer >> resized >>
+            present_pump >> display;
+
+  shard::ShardGroup group(2, manual_opts());
+  // The resizer requires 'window-resize', which only the display emits; the
+  // per-shard plan of the resizer's section is credited with what the rest
+  // of the pipeline emits.
+  shard::ShardedRealization sr(group, ch.pipeline());
+  ASSERT_EQ(sr.section_count(), 2u);
+  ASSERT_NE(sr.shard_of_section(0), sr.shard_of_section(1));
+  sr.start();
+  for (int i = 1; i <= 200 && !display.eos(); ++i) {
+    group.step_until(rt::milliseconds(10 * i));
+  }
+  EXPECT_TRUE(sr.finished());
+  EXPECT_EQ(resizer.width(), 640);
+  EXPECT_EQ(resizer.height(), 480);
+  ASSERT_EQ(display.widths.size(), 60u);
+  EXPECT_EQ(display.widths.front(), 320);
+  EXPECT_EQ(display.widths.back(), 640);
+}
+
+TEST(ShardedRealization, SubPipelineStillRejectsACapabilityNobodyEmits) {
+  media::StreamConfig cfg;
+  cfg.frames = 10;
+  media::MpegFileSource movie{"movie", cfg};
+  ClockedPump decode_pump{"decode-pump", 100.0};
+  media::Resizer resizer{"resizer", 320, 240};
+  Buffer resized{"resized", 8};
+  ClockedPump present_pump{"present-pump", 100.0};
+  CountingSink sink{"sink"};
+  auto ch = movie >> decode_pump >> resizer >> resized >> present_pump >> sink;
+  shard::ShardGroup group(2, manual_opts());
+  EXPECT_THROW(shard::ShardedRealization(group, ch.pipeline()),
+               CompositionError);
 }
 
 }  // namespace
