@@ -10,9 +10,10 @@
 // Without the flag, capture() is a single predicate test, so normal timing
 // runs are not distorted.
 // The first line of the file is a `{"host":{...}}` object recording where
-// the numbers came from: core count, cpufreq governor, build type, and the
-// kill-switch configuration (core/config.hpp) the process ran under — the
-// four things that most often explain why two BENCH_*.json files disagree.
+// the numbers came from: core count, cpufreq governor, build type, compiler
+// and flags (the CMAKE_BUILD_TYPE and flags bench/CMakeLists.txt compiles
+// in), and the kill-switch configuration (core/config.hpp) the process ran
+// under — what most often explains why two BENCH_*.json files disagree.
 #pragma once
 
 #include <cstdio>
@@ -85,11 +86,9 @@ inline std::string host_json() {
   std::string j = "{";
   j += "\"num_cpus\":" + std::to_string(std::thread::hardware_concurrency());
   j += ",\"governor\":\"" + cpu_governor() + "\"";
-#ifdef NDEBUG
-  j += ",\"build_type\":\"release\"";
-#else
-  j += ",\"build_type\":\"debug\"";
-#endif
+  j += ",\"build_type\":\"" IP_BENCH_BUILD_TYPE "\"";
+  j += ",\"compiler\":\"" IP_BENCH_COMPILER "\"";
+  j += ",\"cxx_flags\":\"" IP_BENCH_CXX_FLAGS "\"";
   j += ",\"config\":{";
   j += std::string("\"pooling\":") + (c.pooling ? "true" : "false");
   j += std::string(",\"batching\":") + (c.batching ? "true" : "false");

@@ -10,16 +10,22 @@
 // BM_ChannelPushPop then measures the real carrier: a ShardChannel ring
 // cycle with the taps dormant vs recording, the per-item number to compare
 // against bench_shard's batched-movement rows.
+//
+// BM_StreamDigest prices the check a DigestProbe (and every recorded flow)
+// runs on each item: session::StreamDigest over one payload of 64 B, 1 KiB
+// and 3 KiB (about a marshalled player frame), plus seq and kind.
 #include <benchmark/benchmark.h>
 
 #include "bench_obs.hpp"
 
 #include <cstdint>
+#include <vector>
 
 #include "core/config.hpp"
 #include "core/infopipes.hpp"
 #include "replay/recorder.hpp"
 #include "rt/runtime.hpp"
+#include "session/session.hpp"
 #include "shard/channel.hpp"
 
 using namespace infopipe;
@@ -90,6 +96,25 @@ void BM_ChannelPushPop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ChannelPushPop)->Arg(0)->Arg(1);
+
+void BM_StreamDigest(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<std::uint8_t> payload(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  }
+  session::StreamDigest d;
+  std::uint64_t seq = 0;
+  for (auto _ : state) {
+    d.update(payload.data(), n);
+    d.update_u64(seq++);
+    d.update_u64(7);
+    benchmark::DoNotOptimize(d.h);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_StreamDigest)->Arg(64)->Arg(1024)->Arg(3072);
 
 }  // namespace
 

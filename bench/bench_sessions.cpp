@@ -18,6 +18,11 @@
 //     the engines' wait-free histograms). The realization counter stays at
 //     n_shards throughout — one plan, stamped 10,000 times.
 //
+//  3. The per-item work of an engine, without the engine: BM_SessionItem
+//     fills one session payload (64 B inline, 1 KiB pooled), wraps it as
+//     an Item and folds it into the per-session digest — what cycle() and
+//     SessionSink::consume() spend on each item besides wheel and glue.
+//
 // Accepts --metrics-out=FILE: dumps per-scenario counters.
 #include <benchmark/benchmark.h>
 
@@ -32,6 +37,7 @@
 #include "core/config.hpp"
 #include "core/infopipes.hpp"
 #include "rt/clock.hpp"
+#include "session/engine.hpp"
 #include "session/plan.hpp"
 #include "session/session.hpp"
 #include "session/table.hpp"
@@ -133,6 +139,22 @@ BENCHMARK(BM_HoldTenThousandSessions)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 
+void BM_SessionItem(benchmark::State& state) {
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  const SessionId id = make_session_id(12345, 1);
+  std::vector<std::uint8_t> scratch;
+  StreamDigest d;
+  std::uint64_t seq = 0;
+  for (auto _ : state) {
+    const Item x = make_session_item(scratch, id, seq, rt::Time(seq), bytes);
+    digest_item(d, x);
+    ++seq;
+    benchmark::DoNotOptimize(d.h);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SessionItem)->Arg(64)->Arg(1024);
+
 }  // namespace
 
-BENCHMARK_MAIN();
+OBSBENCH_MAIN();

@@ -3,8 +3,10 @@
 // Run with no arguments and this binary becomes three cooperating roles:
 //
 //   1. A single-process reference run over SimLink computes the stream
-//      digest (FNV-1a over every marshalled packet's payload bytes + seq +
-//      kind — timestamps are clock-dependent and excluded).
+//      digest (replay::DigestProbe between the netpipe receiver and the
+//      unmarshalling filter: the repo-wide StreamDigest over every
+//      marshalled packet's payload + seq + kind — timestamps are
+//      clock-dependent and excluded).
 //   2. It then fork+execs itself twice: `--server` (a Node with a camera
 //      factory behind a TCP control link, plus a TCP data link) and
 //      `--client` (RemoteNode creates the camera through the middleware
@@ -37,6 +39,7 @@
 #include "net/node.hpp"
 #include "net/remote_node.hpp"
 #include "net/socket_transport.hpp"
+#include "replay/digest.hpp"
 #include "rt/io_bridge.hpp"
 
 using namespace infopipe;
@@ -68,56 +71,6 @@ class Screen : public VideoDisplay {
                     {props::kFormats, StringSet{"raw"}},
                     {props::kFrameRate, Range{10, 60}}};
   }
-};
-
-/// FNV-1a 64 over the marshalled stream. Hashed per data item, in arrival
-/// order: payload bytes, then seq and kind as explicit big-endian words.
-/// Timestamps are deliberately NOT hashed — they differ between a SimClock
-/// run and a RealClock run while the information content does not.
-struct Fnv1a {
-  std::uint64_t h = 1469598103934665603ull;
-  void update(const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= b[i];
-      h *= 1099511628211ull;
-    }
-  }
-  void update_u64(std::uint64_t v) {
-    std::uint8_t b[8];
-    for (int i = 7; i >= 0; --i) {
-      b[i] = static_cast<std::uint8_t>(v & 0xFF);
-      v >>= 8;
-    }
-    update(b, sizeof b);
-  }
-};
-
-/// Pass-through tap on the byte flow between the netpipe receiver and the
-/// unmarshalling filter: digests exactly what crossed the link.
-class DigestTap : public FunctionComponent {
- public:
-  explicit DigestTap(std::string name) : FunctionComponent(std::move(name)) {}
-
-  [[nodiscard]] std::uint64_t digest() const noexcept { return h_.h; }
-  [[nodiscard]] std::uint64_t items() const noexcept { return n_; }
-
- protected:
-  Item convert(Item x) override {
-    if (const auto* v = x.payload<std::vector<std::uint8_t>>()) {
-      h_.update(v->data(), v->size());
-    } else if (const std::uint8_t* p = x.bytes_data()) {
-      h_.update(p, x.bytes_size());
-    }
-    h_.update_u64(x.seq);
-    h_.update_u64(static_cast<std::uint64_t>(static_cast<std::uint32_t>(x.kind)));
-    ++n_;
-    return x;
-  }
-
- private:
-  Fnv1a h_;
-  std::uint64_t n_ = 0;
 };
 
 struct StreamResult {
@@ -175,7 +128,7 @@ StreamResult run_sim(std::uint64_t frames) {
   MarshalFilter marshal("marshal", encode_frame, "video");
   NetSender tx("tx", link, server.name());
   NetReceiver rx("rx", link, client.name());
-  DigestTap tap("digest");
+  replay::DigestProbe tap("digest");
   UnmarshalFilter unmarshal("unmarshal", decode_frame, "video");
   MpegDecoder decoder("decoder");
 
@@ -324,7 +277,7 @@ int run_client(std::uint16_t port, std::uint64_t frames,
   if (!agreed) return 1;
 
   NetReceiver rx("rx", *data, server.name());
-  DigestTap tap("digest");
+  replay::DigestProbe tap("digest");
   UnmarshalFilter unmarshal("unmarshal", decode_frame, "video");
   Pipeline p;
   p.connect(rx, 0, tap, 0);

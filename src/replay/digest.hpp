@@ -2,12 +2,15 @@
 // stream flowing through it.
 //
 // Drop it on any pipeline edge and it accumulates the repo-wide stream
-// digest (session::StreamDigest order: payload bytes, then seq, then kind —
-// timestamps excluded) over every data item, passing items through
-// untouched. Because timestamps are not hashed, the digest depends only on
-// the information content and per-flow order, never on which shard or
-// schedule produced it: two runs are "the same run" iff their probes match.
-// That is the equality record/replay and the schedule fuzzer assert.
+// digest over every data item, passing items through untouched. That is
+// session::StreamDigest, word-at-a-time FNV-1a: per item the payload's
+// little-endian 8-byte words, its trailing bytes and its length, then seq,
+// then kind — timestamps excluded. It is the same per-item step as the
+// session sink's (session::digest_item), so a probe and a session sink on
+// one stream agree. Because timestamps are not hashed, the digest depends
+// only on the information content and per-flow order, never on which shard
+// or schedule produced it: two runs are "the same run" iff their probes
+// match. That is the equality record/replay and the schedule fuzzer assert.
 //
 // The accumulator is a relaxed atomic: exactly one ULT writes it at a time
 // (the probe's host), but migration moves that host between kernel threads
@@ -43,10 +46,7 @@ class DigestProbe : public FunctionComponent {
     if (x.is_data()) {
       session::StreamDigest d;
       d.h = h_.load(std::memory_order_relaxed);
-      d.update(x.bytes_data(), x.bytes_size());
-      d.update_u64(x.seq);
-      d.update_u64(
-          static_cast<std::uint64_t>(static_cast<std::uint32_t>(x.kind)));
+      d.update_item(x.bytes_data(), x.bytes_size(), x.seq, x.kind);
       h_.store(d.h, std::memory_order_relaxed);
       n_.fetch_add(1, std::memory_order_relaxed);
     }

@@ -27,9 +27,11 @@
 
 namespace infopipe::replay {
 
-/// FNV-1a 64 over a byte string — identical constants to
-/// session::StreamDigest. Channels hash their names with it once at
-/// construction so frames identify rings without carrying strings.
+/// Classic byte-at-a-time FNV-1a 64 over a byte string (the item-stream
+/// digest, session::StreamDigest, hashes words instead and gives different
+/// values). Channels hash their names with it once at construction so
+/// frames identify rings without carrying strings; its values appear in
+/// trace frames.
 [[nodiscard]] inline std::uint64_t fnv1a(const void* p,
                                          std::size_t n) noexcept {
   const auto* b = static_cast<const std::uint8_t*>(p);

@@ -30,8 +30,11 @@
 
 namespace infopipe::replay {
 
-/// Bump when the encoding changes; decode() rejects other versions.
-inline constexpr std::uint16_t kTraceVersion = 1;
+/// Bump when the encoding or the meaning of a field changes; decode()
+/// rejects other versions. Version 2: flow digests are the word-at-a-time
+/// session::StreamDigest (version 1 hashed one byte at a time), so a
+/// version-1 trace would replay into a false digest mismatch.
+inline constexpr std::uint16_t kTraceVersion = 2;
 
 /// Decision-point taxonomy (ARCHITECTURE §18). Stable on-disk values.
 enum class FrameKind : std::uint8_t {
@@ -80,9 +83,9 @@ struct Trace {
     std::int64_t end_time_ns = 0;  ///< timestamp of the last frame
   };
 
-  /// What a flow's item stream hashed to (session::StreamDigest order:
-  /// payload bytes, then seq, then kind — timestamps excluded, so the
-  /// digest is interleaving-independent).
+  /// What a flow's item stream hashed to (session::StreamDigest: payload
+  /// words, tail bytes and length, then seq, then kind — timestamps
+  /// excluded, so the digest is interleaving-independent).
   struct Flow {
     std::string name;
     std::uint64_t digest = 0;

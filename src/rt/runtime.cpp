@@ -100,10 +100,19 @@ UThread& Runtime::require_current(const char* op) {
 void Runtime::kill(ThreadId id) {
   UThread* t = thread(id);
   if (t == nullptr || t->state_ == ThreadState::kDone) return;
+  if (id != current_) {
+    // Not running: nothing executes on its stack, so free it now rather
+    // than at the next step() — a runtime that realizes and tears down
+    // without running in between would otherwise keep every stack. The
+    // node leaves the map before the thread is destroyed, so destructors
+    // of its code's captures may spawn or kill threads themselves.
+    auto node = threads_.extract(id);
+    return;
+  }
   t->state_ = ThreadState::kDone;
   t->mailbox_.clear();
   t->queued_control_ = 0;
-  if (id == current_) suspend_current();  // never returns to the killed thread
+  suspend_current();  // never returns to the killed thread; step() reaps it
 }
 
 std::size_t Runtime::live_threads() const noexcept {

@@ -40,11 +40,35 @@ struct ShardState {
 /// Deterministic payload for (id, seq): both the shared-engine path and the
 /// INFOPIPE_SESSIONS=off solo path fill from this one function, which is
 /// what makes their per-session digests bit-identical.
+///
+/// Byte i is id_byte[i % 8] ^ (uint8)((seq + i) * 131) ^ 0x5A, built 8 bytes
+/// per step: byte k of word w is id_byte[k] ^ (uint8)(o + k * 131) ^ 0x5A
+/// with o = (uint8)((seq + 8w) * 131), which advances by 8 * 131 = 24
+/// (mod 256) per word. The eight (uint8) sums are one SWAR add: the low
+/// seven bits of every lane add without reaching the next lane, and the
+/// top bit is the xor of the two top bits.
 inline void fill_payload(std::uint8_t* b, std::size_t n, SessionId id,
                          std::uint64_t seq) {
-  for (std::size_t i = 0; i < n; ++i) {
-    b[i] = static_cast<std::uint8_t>(
-        (id >> ((i % 8) * 8)) ^ ((seq + i) * 131u) ^ 0x5Au);
+  constexpr std::uint64_t kLanes = 0x0101010101010101ull;
+  constexpr auto add_lanes = [](std::uint64_t x, std::uint64_t y) {
+    constexpr std::uint64_t kLow7 = 0x7F7F7F7F7F7F7F7Full;
+    return ((x & kLow7) + (y & kLow7)) ^ ((x ^ y) & ~kLow7);
+  };
+  constexpr std::uint64_t kRamp = [] {  // lane k = (uint8)(k * 131)
+    std::uint64_t r = 0;
+    for (std::uint64_t k = 0; k < 8; ++k) r |= ((k * 131) & 0xFF) << (8 * k);
+    return r;
+  }();
+  const std::uint64_t key = id ^ (kLanes * 0x5Au);
+  std::uint64_t ramp =
+      add_lanes(kLanes * static_cast<std::uint8_t>(seq * 131u), kRamp);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    store_le64(b + i, key ^ ramp);
+    ramp = add_lanes(ramp, kLanes * 24u);
+  }
+  for (std::uint64_t w = key ^ ramp; i < n; ++i, w >>= 8) {
+    b[i] = static_cast<std::uint8_t>(w);
   }
 }
 
@@ -67,9 +91,7 @@ inline void fill_payload(std::uint8_t* b, std::size_t n, SessionId id,
 
 /// One step of the per-session stream digest (see StreamDigest).
 inline void digest_item(StreamDigest& d, const Item& x) {
-  d.update(x.bytes_data(), x.bytes_size());
-  d.update_u64(x.seq);
-  d.update_u64(static_cast<std::uint64_t>(static_cast<std::uint32_t>(x.kind)));
+  d.update_item(x.bytes_data(), x.bytes_size(), x.seq, x.kind);
 }
 
 // ---- the engine components --------------------------------------------------

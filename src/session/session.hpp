@@ -1,4 +1,5 @@
-// ip_session value types: sessions, QoS classes, jitter accounting.
+// ip_session value types: sessions, QoS classes, jitter accounting, and the
+// stream digest every per-flow equality check in the repo compares.
 //
 // A *session* is one lightweight live flow stamped out of the session
 // layer's shared plan (plan.hpp): a few dozen bytes of state — identity,
@@ -10,8 +11,10 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 namespace infopipe::session {
@@ -97,30 +100,62 @@ struct JitterSnapshot {
 
 // ---- stream digest ----------------------------------------------------------
 
-/// FNV-1a 64 over a session's item stream, hashed per item in sequence
-/// order: payload bytes, then seq and kind as explicit big-endian words.
+/// Little-endian 64-bit load/store: payload words mean the same value on
+/// every host, so digests and payloads are host-independent.
+[[nodiscard]] inline std::uint64_t load_le64(const std::uint8_t* p) noexcept {
+  std::uint64_t v = 0;
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
+  return v;
+}
+inline void store_le64(std::uint8_t* p, std::uint64_t v) noexcept {
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
+  std::memcpy(p, &v, sizeof v);
+}
+
+/// FNV-1a 64 over a flow's item stream, applied a word at a time: every
+/// step is `h = (h ^ w) * prime; h ^= h >> 32` with w a 64-bit word. Per
+/// item, in sequence order: the payload as little-endian 8-byte words, its
+/// 0–7 trailing bytes one step each, its length; then seq; then kind. Each
+/// step is injective in its word for a fixed h and a bijection of h for a
+/// fixed word, so two equal-length streams that differ in one word always
+/// end in different digests. A product's bit j depends only on its input's
+/// bits 0..j, so without the xor-shift a change in a word's top bits would
+/// stay in the digest's top bits for good (two top-bit flips would cancel);
+/// the shift carries them down into the next multiply. Folding the length
+/// in keeps a payload's end from sliding into the seq that follows it.
 /// Timestamps are deliberately NOT hashed — they are clock-dependent while
 /// the information content is not (the distributed_player convention).
 /// Per-session digests are interleaving-independent: the only ordering that
 /// matters is each session's own seq order, which both the shared-engine
 /// path and the INFOPIPE_SESSIONS=off solo path produce identically.
 struct StreamDigest {
+  static constexpr std::uint64_t kPrime = 1099511628211ull;
   std::uint64_t h = 1469598103934665603ull;
+
+  void update_u64(std::uint64_t w) noexcept {
+    h = (h ^ w) * kPrime;
+    h ^= h >> 32;
+  }
 
   void update(const void* p, std::size_t n) noexcept {
     const auto* b = static_cast<const std::uint8_t*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= b[i];
-      h *= 1099511628211ull;
-    }
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) update_u64(load_le64(b + i));
+    for (; i < n; ++i) update_u64(b[i]);
+    update_u64(n);
   }
-  void update_u64(std::uint64_t v) noexcept {
-    std::uint8_t b[8];
-    for (int i = 7; i >= 0; --i) {
-      b[i] = static_cast<std::uint8_t>(v & 0xFF);
-      v >>= 8;
-    }
-    update(b, 8);
+
+  /// One item of the stream: payload, seq, then kind as its 32-bit pattern.
+  void update_item(const void* p, std::size_t n, std::uint64_t seq,
+                   int kind) noexcept {
+    update(p, n);
+    update_u64(seq);
+    update_u64(static_cast<std::uint32_t>(kind));
   }
 };
 

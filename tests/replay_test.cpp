@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -120,6 +121,21 @@ TEST(Trace, RejectsBadMagicVersionAndTruncation) {
 
   EXPECT_THROW(Trace::decode(bytes.data(), bytes.size() - 5), TraceError);
   EXPECT_THROW(Trace::decode(bytes.data(), 3), TraceError);
+}
+
+TEST(Trace, RefusesVersionOneTraces) {
+  // Version 1 flow digests were byte-serial FNV-1a; replaying one against
+  // today's word-wise StreamDigest would report a false mismatch.
+  std::vector<std::uint8_t> bytes = sample_trace().encode();
+  bytes[4] = 1;  // u16 version, little-endian, right after the magic
+  bytes[5] = 0;
+  try {
+    (void)Trace::decode(bytes.data(), bytes.size());
+    FAIL() << "a version-1 trace decoded";
+  } catch (const TraceError& e) {
+    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Trace, SaveLoadRoundTrip) {

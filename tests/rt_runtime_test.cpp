@@ -1,9 +1,11 @@
 // Unit tests for the message-based user-level thread package (ip_rt).
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <string>
 #include <vector>
 
+#include "core/infopipes.hpp"
 #include "rt/runtime.hpp"
 
 namespace infopipe::rt {
@@ -363,6 +365,73 @@ TEST(Runtime, KillTearsDownWithoutUnwinding) {
   EXPECT_FALSE(rt.alive(t));
   rt.run();
   EXPECT_EQ(progressed, 1);
+}
+
+TEST(Runtime, KillFreesANonRunningThreadAtOnce) {
+  Runtime rt;
+  ThreadId blocked = rt.spawn("blocked", kPriorityData,
+                              [](Runtime& r, Message) -> CodeResult {
+                                (void)r.receive();  // parks on its stack
+                                return CodeResult::kTerminate;
+                              });
+  ThreadId fresh = rt.spawn("fresh", kPriorityData, [](Runtime&, Message) {
+    return CodeResult::kContinue;
+  });
+  rt.send(blocked, Message{});
+  rt.run();
+  ASSERT_NE(rt.thread(blocked), nullptr);
+  rt.kill(blocked);
+  rt.kill(fresh);
+  EXPECT_EQ(rt.thread(blocked), nullptr) << "stack kept until next step()";
+  EXPECT_EQ(rt.thread(fresh), nullptr);
+  EXPECT_EQ(rt.live_threads(), 0u);
+  rt.kill(blocked);  // killing a freed thread is a no-op
+  rt.send(blocked, Message{});
+  EXPECT_EQ(rt.stats().messages_dropped, 1u);
+}
+
+TEST(Runtime, KillFromInsideTheThreadStillReapsOnNextStep) {
+  Runtime rt;
+  ThreadId self = kNoThread;
+  int after = 0;
+  self = rt.spawn("suicide", kPriorityData,
+                  [&](Runtime& r, Message) -> CodeResult {
+                    r.kill(self);
+                    ++after;  // never reached
+                    return CodeResult::kContinue;
+                  });
+  rt.send(self, Message{});
+  rt.run();
+  EXPECT_EQ(after, 0);
+  EXPECT_FALSE(rt.alive(self));
+  EXPECT_EQ(rt.thread(self), nullptr);
+}
+
+std::size_t mapping_count() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t n = 0;
+  for (std::string line; std::getline(maps, line);) ++n;
+  return n;
+}
+
+TEST(Runtime, RealizeTeardownWithoutRunKeepsMappingsBounded) {
+  // Each realization spawns ULTs with guard-paged mmap stacks and kills
+  // them at teardown. Freed at kill(), the mapping count stays flat; kept
+  // until a step() that never comes, 40 000 cycles would pass the
+  // kernel's default 65 530 mappings and end in std::bad_alloc.
+  Runtime rt;
+  CountingSource src("src", 1);
+  FreeRunningPump pump("pump");
+  IdentityFunction fn("fn");
+  CountingSink sink("sink");
+  auto ch = src >> fn >> pump >> sink;
+  { Realization warm(rt, ch.pipeline()); }
+  const std::size_t before = mapping_count();
+  for (int i = 0; i < 40000; ++i) {
+    Realization real(rt, ch.pipeline());
+    ASSERT_GT(real.thread_count(), 0u);
+  }
+  EXPECT_LT(mapping_count(), before + 64);
 }
 
 TEST(Runtime, StatsCountSwitchesAndMessages) {

@@ -11,12 +11,16 @@
 // adopted transport, opening and closing sessions through control frames.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <exception>
 #include <memory>
 #include <optional>
+#include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "balance/accountant.hpp"
@@ -25,9 +29,11 @@
 #include "core/realization_handle.hpp"
 #include "net/error.hpp"
 #include "net/socket_transport.hpp"
+#include "replay/digest.hpp"
 #include "rt/clock.hpp"
 #include "rt/io_bridge.hpp"
 #include "session/acceptor.hpp"
+#include "session/engine.hpp"
 #include "session/plan.hpp"
 #include "session/session.hpp"
 #include "session/table.hpp"
@@ -119,6 +125,281 @@ TEST(SharedPlan, AnalyzedOnceAndStampedManyTimes) {
 
   for (SessionId id : ids) table.close(id);
   EXPECT_EQ(table.live(), 0u);
+}
+
+// ---------- the per-item kernels ---------------------------------------------------
+
+/// The payload formula, one byte at a time: the definition fill_payload's
+/// word-at-a-time version must reproduce bit for bit.
+std::vector<std::uint8_t> bytewise_payload(std::size_t n, SessionId id,
+                                           std::uint64_t seq) {
+  std::vector<std::uint8_t> b(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    b[i] = static_cast<std::uint8_t>(
+        (id >> ((i % 8) * 8)) ^ ((seq + i) * 131u) ^ 0x5Au);
+  }
+  return b;
+}
+
+TEST(SessionKernels, FillPayloadMatchesTheByteFormulaForEveryLength) {
+  std::mt19937_64 rng(config().seed);
+  constexpr std::size_t kGuard = 16;
+  for (std::size_t n = 0; n <= 1100; ++n) {
+    for (int rep = 0; rep < 3; ++rep) {
+      // Real session ids, then arbitrary 64-bit ones; seq wraps too.
+      const SessionId id = rep == 0 ? make_session_id(rng() >> 41, rep)
+                                    : rng();
+      const std::uint64_t seq = rep == 2 ? ~std::uint64_t{0} - n : rng();
+      std::vector<std::uint8_t> got(n + kGuard, 0xCC);
+      fill_payload(got.data(), n, id, seq);
+      const std::vector<std::uint8_t> want = bytewise_payload(n, id, seq);
+      ASSERT_TRUE(std::equal(want.begin(), want.end(), got.begin()))
+          << "n=" << n << " id=" << id << " seq=" << seq;
+      for (std::size_t i = n; i < got.size(); ++i) {
+        ASSERT_EQ(got[i], 0xCC) << "wrote past n=" << n;
+      }
+    }
+  }
+}
+
+/// The digest's definition spelled out: FNV-1a steps, each followed by a
+/// 32-bit xor-shift, over little-endian words assembled byte by byte, the
+/// tail bytes, the length, seq, kind.
+std::uint64_t reference_item_digest(std::uint64_t h,
+                                    const std::vector<std::uint8_t>& p,
+                                    std::uint64_t seq, std::uint32_t kind) {
+  const auto step = [&h](std::uint64_t w) {
+    h ^= w;
+    h *= 1099511628211ull;
+    h ^= h >> 32;
+  };
+  std::size_t i = 0;
+  for (; i + 8 <= p.size(); i += 8) {
+    std::uint64_t w = 0;
+    for (std::size_t k = 8; k-- > 0;) w = (w << 8) | p[i + k];
+    step(w);
+  }
+  for (; i < p.size(); ++i) step(p[i]);
+  step(p.size());
+  step(seq);
+  step(kind);
+  return h;
+}
+
+std::uint64_t item_digest(const std::vector<std::uint8_t>& p,
+                          std::uint64_t seq, int kind) {
+  StreamDigest d;
+  d.update_item(p.data(), p.size(), seq, kind);
+  return d.h;
+}
+
+TEST(SessionKernels, DigestIsWordWiseFnv1aOverLittleEndianWords) {
+  std::mt19937_64 rng(config().seed + 1);
+  for (std::size_t n = 0; n <= 64; ++n) {
+    std::vector<std::uint8_t> p(n);
+    for (auto& b : p) b = static_cast<std::uint8_t>(rng());
+    const std::uint64_t seq = rng();
+    const auto kind = static_cast<std::uint32_t>(rng());
+    EXPECT_EQ(item_digest(p, seq, static_cast<int>(kind)),
+              reference_item_digest(StreamDigest{}.h, p, seq, kind))
+        << "n=" << n;
+  }
+}
+
+TEST(SessionKernels, EverySingleBitFlipMovesTheDigest) {
+  std::mt19937_64 rng(config().seed + 2);
+  for (std::size_t n = 1; n <= 64; ++n) {
+    std::vector<std::uint8_t> p(n);
+    for (auto& b : p) b = static_cast<std::uint8_t>(rng());
+    const std::uint64_t seq = rng();
+    const int kind = static_cast<int>(rng());
+    const std::uint64_t base = item_digest(p, seq, kind);
+    for (std::size_t bit = 0; bit < 8 * n; ++bit) {
+      std::vector<std::uint8_t> q = p;
+      q[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      ASSERT_NE(item_digest(q, seq, kind), base)
+          << "n=" << n << " bit=" << bit;
+    }
+    for (int bit = 0; bit < 64; ++bit) {
+      ASSERT_NE(item_digest(p, seq ^ (std::uint64_t{1} << bit), kind), base)
+          << "seq bit " << bit;
+    }
+    for (int bit = 0; bit < 32; ++bit) {
+      const int flipped = static_cast<int>(static_cast<std::uint32_t>(kind) ^
+                                           (std::uint32_t{1} << bit));
+      ASSERT_NE(item_digest(p, seq, flipped), base) << "kind bit " << bit;
+    }
+  }
+}
+
+struct DigestItem {
+  std::vector<std::uint8_t> payload;
+  std::uint64_t seq = 0;
+  int kind = 0;
+};
+
+std::uint64_t stream_digest(const std::vector<DigestItem>& items) {
+  StreamDigest d;
+  for (const DigestItem& x : items) {
+    d.update_item(x.payload.data(), x.payload.size(), x.seq, x.kind);
+  }
+  return d.h;
+}
+
+/// Flips bit `bit` of the stream's fields, counted item by item: payload
+/// bits, then seq's 64, then kind's 32.
+void flip_stream_bit(std::vector<DigestItem>& items, std::size_t bit) {
+  for (DigestItem& x : items) {
+    const std::size_t pay = 8 * x.payload.size();
+    if (bit < pay) {
+      x.payload[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      return;
+    }
+    bit -= pay;
+    if (bit < 64) {
+      x.seq ^= std::uint64_t{1} << bit;
+      return;
+    }
+    bit -= 64;
+    if (bit < 32) {
+      x.kind = static_cast<int>(static_cast<std::uint32_t>(x.kind) ^
+                                (std::uint32_t{1} << bit));
+      return;
+    }
+    bit -= 32;
+  }
+  FAIL() << "bit out of range";
+}
+
+TEST(SessionKernels, EveryPairOfBitFlipsMovesTheDigest) {
+  // A multiply only carries a change upward, so a flip of a word's bit 63
+  // must be mixed back down or a second such flip cancels it. The pairs
+  // include payload[7] with payload[15], and a payload word's top bit with
+  // the next item's seq bit 63.
+  std::mt19937_64 rng(config().seed + 4);
+  std::vector<DigestItem> items = {{std::vector<std::uint8_t>(17), 0, 0},
+                                   {std::vector<std::uint8_t>(9), 0, 0}};
+  for (DigestItem& x : items) {
+    for (auto& b : x.payload) b = static_cast<std::uint8_t>(rng());
+    x.seq = rng();
+    x.kind = static_cast<int>(rng());
+  }
+  std::size_t bits = 0;
+  for (const DigestItem& x : items) bits += 8 * x.payload.size() + 96;
+  const std::uint64_t base = stream_digest(items);
+  for (std::size_t i = 0; i < bits; ++i) {
+    for (std::size_t j = i + 1; j < bits; ++j) {
+      std::vector<DigestItem> q = items;
+      flip_stream_bit(q, i);
+      flip_stream_bit(q, j);
+      ASSERT_NE(stream_digest(q), base) << "bits " << i << " and " << j;
+    }
+  }
+}
+
+TEST(SessionKernels, RandomCorruptionOfWordTopBytesMovesTheDigest) {
+  // Errors confined to bytes at offsets 7 mod 8 (each word's top byte).
+  // A digest that left them in its top 8 bits would miss about 1 in 256.
+  std::mt19937_64 rng(config().seed + 5);
+  std::vector<std::uint8_t> p(256);
+  for (auto& b : p) b = static_cast<std::uint8_t>(rng());
+  const std::uint64_t seq = rng();
+  const int kind = static_cast<int>(rng());
+  const std::uint64_t base = item_digest(p, seq, kind);
+  for (int trial = 0; trial < 20000; ++trial) {
+    std::vector<std::uint8_t> q = p;
+    bool changed = false;
+    while (!changed) {
+      for (std::size_t off = 7; off < q.size(); off += 8) {
+        if (rng() % 4 == 0) {
+          const auto e = static_cast<std::uint8_t>(rng());
+          q[off] ^= e;
+          changed |= e != 0;
+        }
+      }
+    }
+    ASSERT_NE(item_digest(q, seq, kind), base) << "trial " << trial;
+  }
+}
+
+TEST(SessionKernels, SwappingTwoItemsMovesTheDigest) {
+  const std::vector<DigestItem> a = {{{1, 2, 3, 4, 5, 6, 7, 8, 9}, 1, 7},
+                                     {{9, 8, 7}, 2, 7}};
+  const std::vector<DigestItem> b = {a[1], a[0]};
+  EXPECT_NE(stream_digest(a), stream_digest(b));
+  // Same payloads and kinds, seqs swapped with them: still a different
+  // stream.
+  const std::vector<DigestItem> c = {{a[0].payload, 2, 7},
+                                     {a[1].payload, 1, 7}};
+  EXPECT_NE(stream_digest(a), stream_digest(c));
+}
+
+/// The pre-word-digest byte layout of a stream: payload bytes, then seq and
+/// kind as big-endian 8-byte words, item after item.
+std::vector<std::uint8_t> flat_bytes(const std::vector<DigestItem>& items) {
+  std::vector<std::uint8_t> out;
+  for (const DigestItem& x : items) {
+    out.insert(out.end(), x.payload.begin(), x.payload.end());
+    for (std::uint64_t v : {x.seq, std::uint64_t{static_cast<std::uint32_t>(
+                                       x.kind)}}) {
+      for (int k = 7; k >= 0; --k) {
+        out.push_back(static_cast<std::uint8_t>(v >> (8 * k)));
+      }
+    }
+  }
+  return out;
+}
+
+TEST(SessionKernels, MovingAByteBetweenPayloadAndSeqMovesTheDigest) {
+  // 1. The same flat byte string, cut into items at other places: the last
+  //    payload byte of A's first item becomes the top byte of B's seq, and
+  //    every later byte shifts one field along.
+  const std::uint64_t s1 = 0x1122334455667700ull;  // low byte 0: kind fits
+  const std::uint32_t k1 = 0x0A0B0C0Du;
+  const std::vector<DigestItem> a = {
+      {{1, 2, 3, 0x77}, s1, static_cast<int>(k1)}, {{9, 8}, 5, 3}};
+  const std::vector<DigestItem> b = {
+      {{1, 2, 3}, (std::uint64_t{0x77} << 56) | (s1 >> 8),
+       static_cast<int>(k1 >> 8)},
+      {{static_cast<std::uint8_t>(k1 & 0xFF), 9, 8}, 5, 3}};
+  ASSERT_EQ(flat_bytes(a), flat_bytes(b));
+  EXPECT_NE(stream_digest(a), stream_digest(b));
+
+  // 2. The same sequence of hash steps without the length: A's last tail
+  //    byte is B's seq, A's seq is B's kind, A's kind is B's next first
+  //    payload byte. Only the folded-in lengths tell them apart.
+  const std::vector<DigestItem> c = {{{1, 2, 3, 0x44}, 0x55, 0x66},
+                                     {{9, 8}, 5, 3}};
+  const std::vector<DigestItem> d = {{{1, 2, 3}, 0x44, 0x55},
+                                     {{0x66, 9, 8}, 5, 3}};
+  EXPECT_NE(stream_digest(c), stream_digest(d));
+}
+
+/// Exposes DigestProbe's per-item step without realizing a pipeline.
+class OpenProbe : public replay::DigestProbe {
+ public:
+  using DigestProbe::DigestProbe;
+  using DigestProbe::convert;
+};
+
+TEST(SessionKernels, ProbeSessionSinkAndDigestItemAgree) {
+  const SessionId id = make_session_id(4242, 1);
+  ShardState st;
+  SessionSink sink("sink", &st);
+  OpenProbe probe("probe");
+  StreamDigest d;
+  std::vector<std::uint8_t> scratch;
+  for (std::uint64_t seq = 0; seq < 40; ++seq) {
+    const std::size_t bytes = (seq * 37) % 1100;  // inline and pooled sizes
+    Item x = make_session_item(scratch, id, seq, rt::Time(seq), bytes);
+    digest_item(d, x);
+    sink.consume(probe.convert(std::move(x)));
+  }
+  EXPECT_EQ(probe.items(), 40u);
+  EXPECT_EQ(sink.items_of(id), 40u);
+  EXPECT_EQ(probe.digest(), d.h);
+  EXPECT_EQ(sink.digest_of(id), d.h);
+  EXPECT_NE(d.h, StreamDigest{}.h);
 }
 
 // ---------- lockstep emission and class stealing -----------------------------------
